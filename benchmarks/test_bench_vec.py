@@ -22,6 +22,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from repro.experiments.power_sweep import build_vec_fleet
 from repro.vec import FleetKernel, ScalarFleet
@@ -67,6 +68,32 @@ def test_vec_power_sweep_grid(benchmark):
     benchmark.extra_info["steps"] = STEPS
     # The run did real work: some devices duty-cycled.
     assert float(result.energy_in.sum()) > 0.0
+
+
+@pytest.mark.parametrize("devices", [1, 256])
+def test_vec_kernel_ns_per_device_step(benchmark, devices):
+    """``FleetKernel.run`` cost per device-step, at 1 and 256 devices.
+
+    ``extra_info["ns_per_device_step"]`` is the fastest round's kernel
+    wall (the run's own ``wall_seconds``, so copying the fleet is not
+    counted) over ``STEPS * devices``.  At these sizes NumPy call
+    overhead, not arithmetic, sets the cost of a step.
+    """
+    state = _fleet().select(range(devices))
+    walls = []
+
+    def run_kernel():
+        summary = FleetKernel(state.select(range(devices))).run(STEPS * DT, dt=DT)
+        walls.append(summary["wall_seconds"])
+        return summary
+
+    summary = benchmark(run_kernel)
+    benchmark.extra_info["devices"] = devices
+    benchmark.extra_info["steps"] = STEPS
+    benchmark.extra_info["ns_per_device_step"] = (
+        min(walls) / (STEPS * devices) * 1e9
+    )
+    assert summary["steps"] == STEPS and summary["devices"] == devices
 
 
 def test_scalar_power_sweep_grid(benchmark):

@@ -37,8 +37,9 @@ fraction, per-reason straggler counters, cache hits, and shard count.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.observability.telemetry import Telemetry, resolve_telemetry
@@ -132,8 +133,17 @@ def job_result_key(job: CampaignJob) -> str:
     knob.  It never depends on how the job was scheduled, which is what
     makes batched and solo execution cache-compatible.
     """
+    from repro.spec import load_scenario
+
+    return _job_result_key(job, load_scenario)
+
+
+def _job_result_key(
+    job: CampaignJob, parse: Callable[[str], Any]
+) -> str:
+    """:func:`job_result_key` with the scenario parsed by *parse*."""
     from repro.experiments.cache import result_key
-    from repro.spec import load_scenario, scenario_trace_hash, spec_hash
+    from repro.spec import scenario_trace_hash, spec_hash
 
     params: Dict[str, Any] = {}
     if job.system is not None:
@@ -159,7 +169,7 @@ def job_result_key(job: CampaignJob) -> str:
         from repro.faults import fault_schedule_hash, load_fault_schedule
 
         fault_hash = fault_schedule_hash(load_fault_schedule(job.faults_json))
-    scenario = load_scenario(job.scenario_json)
+    scenario = parse(job.scenario_json)
     return result_key(
         "service.run",
         params,
@@ -167,6 +177,18 @@ def job_result_key(job: CampaignJob) -> str:
         fault_hash=fault_hash,
         trace_hash=scenario_trace_hash(scenario),
     )
+
+
+def _parse_once() -> Callable[[str], Any]:
+    """``load_scenario`` memoized for one call: each distinct JSON parses once.
+
+    Callers make a fresh parser per call, so a long-lived pool or
+    service worker keeps no scenarios between jobs.  Parse errors are
+    not memoized; each job re-raises its own.
+    """
+    from repro.spec import load_scenario
+
+    return functools.lru_cache(maxsize=None)(load_scenario)
 
 
 def format_fleet_summary(
@@ -215,7 +237,7 @@ def run_fleet_batch(
     identical bits.
     """
     from repro.core.builder import SystemKind
-    from repro.spec import ScenarioSpec, load_scenario
+    from repro.spec import ScenarioSpec
     from repro.vec import (
         FleetKernel,
         build_fleet,
@@ -241,10 +263,11 @@ def run_fleet_batch(
                 f"plan_campaign keeps incompatible jobs in separate cohorts"
             )
 
+    parse = _parse_once()
     scenarios: List[ScenarioSpec] = []
     systems: List[str] = []
     for job in jobs:
-        scenario = load_scenario(job.scenario_json)
+        scenario = parse(job.scenario_json)
         system = (
             SystemKind.from_name(job.system).value
             if job.system is not None
@@ -427,10 +450,11 @@ def plan_campaign(
     re-routed.
     """
     from repro.errors import SpecError
-    from repro.spec import load_scenario, scenario_trace_hash
+    from repro.spec import scenario_trace_hash
     from repro.vec import check_scenario
 
     telemetry = resolve_telemetry(telemetry)
+    parse = _parse_once()
     cohorts: Dict[Tuple[float, float, str], Cohort] = {}
     stragglers: List[Straggler] = []
     for index, job in enumerate(jobs):
@@ -441,7 +465,7 @@ def plan_campaign(
             )
             continue
         try:
-            scenario = load_scenario(job.scenario_json)
+            scenario = parse(job.scenario_json)
             schedule = None
             if job.faults_json is not None:
                 from repro.faults import load_fault_schedule
@@ -576,7 +600,8 @@ def execute_plan(
     executable: List[CampaignJob] = list(plan.jobs)
     for straggler in plan.stragglers:
         executable[straggler.index] = straggler.job
-    keys = [job_result_key(job) for job in executable]
+    parse = _parse_once()
+    keys = [_job_result_key(job, parse) for job in executable]
 
     results: List[Any] = [None] * total
     cached = [False] * total

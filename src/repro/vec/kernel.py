@@ -40,7 +40,7 @@ by the chosen ``dt`` and documented in ``docs/performance.md``.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -57,6 +57,29 @@ __all__ = [
     "times_to_brownout",
     "atomicity_ops",
 ]
+
+try:  # The ufunc np.clip dispatches to, without its Python-level wrapper.
+    from numpy._core.umath import clip as _clip
+except ImportError:  # pragma: no cover - NumPy < 2
+    _clip = np.clip
+
+
+def _operand(value: float) -> np.ndarray:
+    """A read-only 0-d float64 array for a constant ufunc operand.
+
+    A Python float operand is converted to an array on every ufunc call;
+    the step loop's constants are converted once instead.  Every array
+    they meet is float64, so values and result dtypes are unchanged.
+    """
+    operand = np.array(value, dtype=np.float64)
+    operand.setflags(write=False)
+    return operand
+
+
+_ZERO = _operand(0.0)
+_ONE = _operand(1.0)
+#: Lower bound on the voltage in the zero-ESR current ``p_in / v``.
+_TINY_VOLTAGE = _operand(1e-300)
 
 #: Epsilon matching the scalar discharge loop's floor guard.
 _FLOOR_EPS = 1e-9
@@ -85,6 +108,70 @@ def leak_decay(leak_tau: np.ndarray, dt: float) -> np.ndarray:
     )
 
 
+class _ChargeTerms(NamedTuple):
+    """The voltage-independent terms of the input-booster charge model.
+
+    They depend only on booster constants and the harvester operating
+    point, so a caller stepping many voltages computes them once.
+    """
+
+    v_cold_start: np.ndarray
+    v_full_efficiency: np.ndarray
+    ramp_span: np.ndarray  # v_full_efficiency - v_cold_start
+    low_efficiency: np.ndarray
+    ramp_gain: np.ndarray  # 1 - low_efficiency
+    warm_power: np.ndarray  # harvest_power * efficiency
+    cold_power: np.ndarray  # harvest_power * cold_start_efficiency
+    bypass: np.ndarray
+    bypass_below: np.ndarray  # harvest_voltage - v_diode_drop
+    bypass_power: np.ndarray  # harvest_power * diode efficiency
+    v_charge_target: np.ndarray
+    blocked: np.ndarray  # harvester too weak to charge at any voltage
+
+
+def _charge_terms(state: FleetState) -> _ChargeTerms:
+    hv = state.harvest_voltage
+    hp = state.harvest_power
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diode_efficiency = np.where(
+            hv > 0.0, np.maximum(0.0, 1.0 - state.in_v_diode_drop / hv), 0.0
+        )
+    return _ChargeTerms(
+        v_cold_start=state.in_v_cold_start,
+        v_full_efficiency=state.in_v_full_efficiency,
+        ramp_span=state.in_v_full_efficiency - state.in_v_cold_start,
+        low_efficiency=state.in_low_voltage_efficiency,
+        ramp_gain=1.0 - state.in_low_voltage_efficiency,
+        warm_power=hp * state.in_efficiency,
+        cold_power=hp * state.in_cold_start_efficiency,
+        bypass=state.in_bypass,
+        bypass_below=hv - state.in_v_diode_drop,
+        bypass_power=hp * diode_efficiency,
+        v_charge_target=state.in_v_charge_target,
+        blocked=(hp <= 0.0) | (hv < state.in_min_input_voltage),
+    )
+
+
+def _charge_power(voltage: np.ndarray, terms: _ChargeTerms) -> np.ndarray:
+    (
+        v_cold_start, v_full_efficiency, ramp_span, low_efficiency,
+        ramp_gain, warm_power, cold_power, bypass, bypass_below,
+        bypass_power, v_charge_target, blocked,
+    ) = terms
+    fraction = _clip((voltage - v_cold_start) / ramp_span, _ZERO, _ONE)
+    # Above v_full_efficiency the scalar model returns exactly 1.0.
+    ramp = np.where(
+        voltage >= v_full_efficiency,
+        _ONE,
+        low_efficiency + ramp_gain * fraction,
+    )
+    warm = warm_power * ramp
+    bypassed = np.where(bypass & (voltage < bypass_below), bypass_power, _ZERO)
+    cold_path = np.maximum(cold_power, bypassed)
+    power = np.where(voltage >= v_cold_start, warm, cold_path)
+    return np.where(blocked | (voltage >= v_charge_target), _ZERO, power)
+
+
 def charge_power_vec(voltage: np.ndarray, state: FleetState) -> np.ndarray:
     """Power into each capacitor, watts — ``InputBooster.charge_power``.
 
@@ -93,39 +180,43 @@ def charge_power_vec(voltage: np.ndarray, state: FleetState) -> np.ndarray:
     keeper-diode bypass, then zeroes devices whose harvester is too
     weak or whose capacitor is at/above the charge target.
     """
-    hv = state.harvest_voltage
-    hp = state.harvest_power
+    return _charge_power(voltage, _charge_terms(state))
 
-    span = state.in_v_full_efficiency - state.in_v_cold_start
-    fraction = np.clip((voltage - state.in_v_cold_start) / span, 0.0, 1.0)
-    # Above v_full_efficiency the scalar model returns exactly 1.0.
-    ramp = np.where(
-        voltage >= state.in_v_full_efficiency,
-        1.0,
-        state.in_low_voltage_efficiency
-        + (1.0 - state.in_low_voltage_efficiency) * fraction,
-    )
-    warm = hp * state.in_efficiency * ramp
 
-    cold = hp * state.in_cold_start_efficiency
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diode_efficiency = np.where(
-            hv > 0.0, np.maximum(0.0, 1.0 - state.in_v_diode_drop / hv), 0.0
-        )
-    bypass = np.where(
-        state.in_bypass & (voltage < hv - state.in_v_diode_drop),
-        hp * diode_efficiency,
-        0.0,
-    )
-    cold_path = np.maximum(cold, bypass)
+class _DrainTerms(NamedTuple):
+    """The voltage-independent terms of the output-booster droop model."""
 
-    power = np.where(voltage >= state.in_v_cold_start, warm, cold_path)
-    blocked = (
-        (hp <= 0.0)
-        | (hv < state.in_min_input_voltage)
-        | (voltage >= state.in_v_charge_target)
+    p_in: np.ndarray
+    droop: np.ndarray  # 4 * esr * p_in
+    two_esr: np.ndarray
+    has_esr: np.ndarray
+
+
+def _drain_terms(state: FleetState) -> _DrainTerms:
+    return _DrainTerms(
+        p_in=state.p_in,
+        droop=4.0 * state.esr * state.p_in,
+        two_esr=2.0 * state.esr,
+        has_esr=state.esr > 0.0,
     )
-    return np.where(blocked, 0.0, power)
+
+
+def _drain_power(
+    voltage: np.ndarray, active: np.ndarray, terms: _DrainTerms
+) -> np.ndarray:
+    """Droop-limited drain power; call under ``np.errstate`` ignoring
+    divide and invalid (zero-ESR devices divide by zero in the unused
+    branch)."""
+    p_in, droop, two_esr, has_esr = terms
+    discriminant = voltage * voltage - droop
+    sqrt_disc = np.sqrt(np.maximum(discriminant, _ZERO))
+    current = np.where(
+        has_esr,
+        (voltage - sqrt_disc) / two_esr,
+        p_in / np.maximum(voltage, _TINY_VOLTAGE),
+    )
+    valid = active & (discriminant >= _ZERO) & (voltage > _ZERO)
+    return np.where(valid, current * voltage, _ZERO)
 
 
 def drain_power_vec(
@@ -138,21 +229,24 @@ def drain_power_vec(
     ``I * V``.  Only meaningful above the discharge floor; *active*
     masks devices for which the drain applies (others get 0).
     """
-    p_in = state.p_in
     if active is None:
         active = np.ones_like(voltage, dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
-        discriminant = voltage * voltage - 4.0 * state.esr * p_in
-        sqrt_disc = np.sqrt(np.maximum(discriminant, 0.0))
-        current_esr = (voltage - sqrt_disc) / (2.0 * state.esr)
-        current_zero_esr = p_in / np.maximum(voltage, 1e-300)
-        current = np.where(state.esr > 0.0, current_esr, current_zero_esr)
-    valid = active & (discriminant >= 0.0) & (voltage > 0.0)
-    return np.where(valid, current * voltage, 0.0)
+        return _drain_power(voltage, active, _drain_terms(state))
 
 
 class FleetKernel:
     """Advance a :class:`FleetState` through fixed timesteps.
+
+    :meth:`step`, :meth:`run` and each segment of :meth:`run_segments`
+    share one stepping loop.  Before the loop it computes every term
+    that depends only on state constants or the current harvest
+    columns; inside it, only work that depends on the voltage or the
+    on/off column runs.  A hoisted term is always a left-associated
+    prefix of the expression it came from (``hp * eff * ramp`` becomes
+    ``(hp * eff)`` once, then ``* ramp`` per step), so every step
+    evaluates the same IEEE operations in the same order and the
+    results do not depend on how a run is split into calls.
 
     Args:
         state: the fleet to advance (mutated in place).
@@ -169,51 +263,79 @@ class FleetKernel:
         self.steps = 0
         self.now = 0.0
 
-    def step(self, dt: float, _decay: Optional[np.ndarray] = None) -> None:
+    def step(self, dt: float) -> None:
         """Advance every device by *dt* seconds (see module docstring
         for the discretization order)."""
         if dt <= 0.0:
             raise ConfigurationError(f"dt must be positive, got {dt}")
+        self._advance(1, dt, np.exp(-dt / self.state.leak_tau))
+
+    def _advance(self, steps: int, dt: float, decay: np.ndarray) -> None:
+        """Run *steps* five-phase steps at the current operating point."""
         s = self.state
-        v = s.voltage
-
-        # 1. Brown out devices that can no longer hold their load.
-        browned = s.on & (v <= s.floor + _FLOOR_EPS)
-        if browned.any():
-            s.on = s.on & ~browned
-            s.brownouts += browned
-
-        # 2. Operating-point powers at the step-start voltage.
-        charge = charge_power_vec(v, s)
-        net_in = np.where(charge > 0.0, charge - s.quiescent_power, 0.0)
-        drain = drain_power_vec(v, s, active=s.on)
-
-        # 3. Energy update, clipped to [0, energy at charge target]
-        #    (an over-target initial voltage is preserved, not clipped).
+        charge_terms = _charge_terms(s)
+        drain_terms = _drain_terms(s)
+        floor = s.floor + _FLOOR_EPS
+        quiescent = s.quiescent_power
         half_c = 0.5 * s.capacitance
+        full_energy = half_c * s.charge_target * s.charge_target
+        wake_voltage = s.charge_target - _TARGET_EPS
+        has_load = s.load_power > 0.0
+        brownouts = s.brownouts
+        energy_in = s.energy_in
+        energy_out = s.energy_out
+        energy_leaked = s.energy_leaked
+        on_seconds = s.on_seconds
+        v = s.voltage
+        on = s.on
+        # Stored energy at the step-start voltage; each step's leakage
+        # phase recomputes it for the next step from the same bits.
         energy = half_c * v * v
-        target_energy = np.maximum(half_c * s.charge_target * s.charge_target, energy)
-        new_energy = np.clip(energy + (net_in - drain) * dt, 0.0, target_energy)
-        v = np.sqrt(new_energy / half_c)
+        now = self.now
+        step_dt = _operand(dt)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(steps):
+                # 1. Brown out devices that can no longer hold their load.
+                browned = on & (v <= floor)
+                if np.count_nonzero(browned):
+                    on = on & ~browned
+                    brownouts += browned
 
-        # 4. Wake devices whose post-update voltage reached the target.
-        wake = (~s.on) & (s.load_power > 0.0) & (v >= s.charge_target - _TARGET_EPS)
-        s.on = s.on | wake
+                # 2. Operating-point powers at the step-start voltage.
+                charge = _charge_power(v, charge_terms)
+                net_in = np.where(charge > _ZERO, charge - quiescent, _ZERO)
+                drain = _drain_power(v, on, drain_terms)
 
-        # 5. RC leakage on the post-update voltage.
-        decay = _decay if _decay is not None else np.exp(-dt / s.leak_tau)
-        leaked_from = half_c * v * v
-        v = v * decay
+                # 3. Energy update, clipped to [0, energy at charge
+                #    target] (an over-target initial voltage is
+                #    preserved, not clipped).
+                target_energy = np.maximum(full_energy, energy)
+                new_energy = _clip(
+                    energy + (net_in - drain) * step_dt, _ZERO, target_energy
+                )
+                v = np.sqrt(new_energy / half_c)
+
+                # 4. Wake devices whose post-update voltage reached the
+                #    target (``on | (~on & x)`` is ``on | x``).
+                on = on | (has_load & (v >= wake_voltage))
+
+                # 5. RC leakage on the post-update voltage.
+                leaked_from = half_c * v * v
+                v = v * decay
+                energy = half_c * v * v
+                energy_leaked += leaked_from - energy
+
+                # Accounting: gross flows at the step operating points
+                # (clipping at target/empty and leakage close the
+                # balance separately).
+                energy_in += charge * step_dt
+                energy_out += drain * step_dt
+                on_seconds += np.where(drain > _ZERO, step_dt, _ZERO)
+                now += dt
         s.voltage = v
-        s.energy_leaked += leaked_from - half_c * v * v
-
-        # Accounting: gross flows at the step operating points (clipping
-        # at target/empty and leakage close the balance separately).
-        s.energy_in += charge * dt
-        s.energy_out += drain * dt
-        s.on_seconds += np.where(drain > 0.0, dt, 0.0)
-        self.steps += 1
-        self.now += dt
+        s.on = on
+        self.steps += steps
+        self.now = now
 
     def run(
         self,
@@ -244,8 +366,7 @@ class FleetKernel:
                 f"decay: expected shape {self.state.voltage.shape}, "
                 f"got {np.shape(decay)}"
             )
-        for _ in range(steps):
-            self.step(dt, _decay=decay)
+        self._advance(steps, dt, decay)
         wall = time.perf_counter() - started
         if self.telemetry.enabled:
             self.telemetry.inc("vec.steps", steps)
@@ -268,12 +389,13 @@ class FleetKernel:
         *segments* is a sequence of ``(steps, harvest_voltage,
         harvest_power)`` tuples — the output of
         :func:`repro.vec.batch.compile_operating_segments`.  Before each
-        segment the fleet's harvest columns are reassigned, then the
-        segment's steps run under the unchanged five-phase contract.  A
-        single segment is therefore bit-identical to :meth:`run` over
-        the same operating point: nothing else about the stepping
-        changes, and every operation stays elementwise (batch-of-N ==
-        N batches-of-1 still holds, per :func:`leak_decay`).
+        segment the fleet's harvest columns are reassigned and the terms
+        derived from them recomputed, then the segment's steps run under
+        the unchanged five-phase contract.  A single segment is
+        therefore bit-identical to :meth:`run` over the same operating
+        point: nothing else about the stepping changes, and every
+        operation stays elementwise (batch-of-N == N batches-of-1 still
+        holds, per :func:`leak_decay`).
 
         Returns the same summary dict as :meth:`run` plus the segment
         count; telemetry additionally records ``vec.segments``.
@@ -307,8 +429,7 @@ class FleetKernel:
                 )
             self.state.harvest_voltage = hv
             self.state.harvest_power = hp
-            for _ in range(steps):
-                self.step(dt, _decay=decay)
+            self._advance(steps, dt, decay)
             total_steps += steps
         wall = time.perf_counter() - started
         if self.telemetry.enabled:
@@ -354,10 +475,11 @@ def charge_times(
     half_c = 0.5 * s.capacitance
     elapsed = np.zeros(s.n)
     voltage = np.zeros(s.n)
+    terms = _charge_terms(s)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(steps):
             v_next = np.minimum(goal, voltage + step)
-            power = charge_power_vec(voltage, s)
+            power = _charge_power(voltage, terms)
             energy = half_c * (v_next * v_next - voltage * voltage)
             elapsed = elapsed + np.where(power > 0.0, energy / power, np.inf)
             voltage = v_next

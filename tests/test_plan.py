@@ -225,6 +225,30 @@ class TestExecutePlan:
         assert second.results == first.results
         assert telemetry.metrics.counter("plan.cache_hits").value == 4
 
+    def test_each_scenario_parses_once_per_call(self, monkeypatch):
+        import repro.spec
+
+        parsed = []
+        real = repro.spec.load_scenario
+
+        def counting(text):
+            parsed.append(text)
+            return real(text)
+
+        monkeypatch.setattr(repro.spec, "load_scenario", counting)
+        other = _scenario_json(seed=1)
+        jobs = _vec_jobs(4) + [
+            dataclasses.replace(job, label=f"other{i}", scenario_json=other)
+            for i, job in enumerate(_vec_jobs(4))
+        ]
+        plan = plan_campaign(jobs)
+        assert len(parsed) == 2
+        # One shard holds all 8 jobs: the key loop and the batch each
+        # parse the two scenario texts once.
+        result = execute_plan(plan, jobs=1)
+        assert len(parsed) == 6
+        assert result.keys == [job_result_key(job) for job in jobs]
+
     def test_cached_payloads_serve_the_service_guard(self, tmp_cache):
         # The service accepts a cached payload only if it looks like a
         # job result; planner payloads must pass that shape check.

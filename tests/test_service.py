@@ -250,6 +250,24 @@ class TestServiceApp:
 
         run_app(body, ServiceConfig(jobs=1, cache_dir=tmp_path / "cache"))
 
+    def test_str_cache_dir_is_accepted(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+
+        async def body(app):
+            status, _, payload = await submit(app, scenario_dict())
+            assert status == 202
+            job_id = json.loads(payload)["job_id"]
+            assert (await wait_done(app, job_id))["state"] == "done"
+            status, _, _ = await asgi_request(
+                app, "GET", f"/v1/jobs/{job_id}/result"
+            )
+            assert status == 200
+            status, _, payload = await submit(app, scenario_dict())
+            assert status == 200 and json.loads(payload)["cached"] is True
+
+        run_app(body, ServiceConfig(jobs=1, cache_dir=cache_dir))
+        assert len(list((tmp_path / "cache").glob("*.pkl"))) == 1
+
     def test_invalid_spec_rejected_at_edge(self, tmp_path):
         async def body(app):
             status, _, payload = await submit(app, {"scenario": {"bogus": 1}})
