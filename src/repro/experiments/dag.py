@@ -15,9 +15,10 @@ not overlap.  This module turns the campaign into a dependency graph:
   body, then a canonical JSON body.  A corrupt or future-versioned file
   is **quarantined** (deleted, counted on telemetry) and the campaign
   starts fresh — corruption can skip no task it shouldn't.
-* :func:`run_dag` — a dependency-aware dispatcher that feeds ready
-  tasks onto the existing :class:`~repro.experiments.parallel.WorkerPool`
-  machinery under the established RetryPolicy/WorkerChaos contract.
+* :func:`run_dag` — validates the pending tasks and hands them, with
+  their predecessor edges, to the one dispatch loop of
+  :class:`~repro.experiments.parallel.WorkerPool` under the established
+  RetryPolicy/WorkerChaos contract.
   Every task stays a pure function of its arguments, so a chaos-killed
   run resumed to completion is bit-identical to a clean serial run —
   the property the differential suite pins.
@@ -36,7 +37,6 @@ import json
 import math
 import os
 import tempfile
-import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -481,12 +481,8 @@ def run_dag(
         ``node -> result`` for every node not in *completed* (results,
         :class:`TaskError` rows for failures, blocked markers).
     """
-    from repro.experiments.parallel import TaskError, TaskTiming, _attempt_call
+    from repro.experiments.parallel import WorkerPool
 
-    if on_error not in ("raise", "capture"):
-        raise ConfigurationError(
-            f'on_error must be "raise" or "capture", got {on_error!r}'
-        )
     done = set(completed)
     unknown_done = done - set(dag.nodes)
     if unknown_done:
@@ -499,138 +495,23 @@ def run_dag(
         raise ConfigurationError(
             f"no arguments declared for pending task(s) {missing}"
         )
-    telemetry = resolve_telemetry(telemetry)
-    max_attempts = retry.max_attempts if retry is not None else 1
-
-    use_pool = False
-    if pool is not None and pool.jobs > 1 and len(pending) > 1:
-        from repro.experiments.parallel import _picklable
-
-        use_pool = _picklable(
-            fn, [args_by_node[node] for node in pending]
-        ) and (chaos is None or _picklable(chaos))
-    if report is not None:
-        report.mode = "process-pool" if use_pool else "serial"
-        report.jobs = pool.jobs if use_pool else 1
-
-    results: Dict[str, Any] = {}
-    failed: set = set()
-    blocked: set = set()
-
-    def _backoff(label: str, attempt: int) -> None:
-        if retry is None:
-            return
-        delay = retry.delay(label, attempt)
-        if delay > 0.0:
-            _time.sleep(delay)
-
-    def _give_up(label: str, attempt: int, error: BaseException) -> TaskError:
-        if telemetry.enabled:
-            telemetry.inc("campaign.gave_up")
-        if on_error == "raise":
-            raise error
-        return TaskError(label=label, error=repr(error), attempts=attempt)
-
-    def _block_descendants(node: str) -> None:
-        for desc in dag.descendants([node]):
-            if desc in done or desc in failed or desc in blocked:
-                continue
-            blocked.add(desc)
-            results[desc] = TaskError(
-                label=desc,
-                error=f"blocked: predecessor {node!r} failed",
-                attempts=0,
-            )
-            if telemetry.enabled:
-                telemetry.inc("campaign.blocked")
-
-    def _succeed(node: str, result: Any, seconds: float, attempt: int) -> None:
-        timing = TaskTiming(node, seconds, attempt)
-        results[node] = result
-        done.add(node)
-        if report is not None:
-            report.timings.append(timing)
-        if on_complete is not None:
-            on_complete(node, result, timing)
-
-    if not use_pool:
-        for node in pending:
-            if node in blocked:
-                continue
-            for attempt in range(1, max_attempts + 1):
-                try:
-                    result, seconds = _attempt_call(
-                        fn, args_by_node[node], chaos, node, attempt
-                    )
-                except Exception as error:
-                    if attempt >= max_attempts:
-                        results[node] = _give_up(node, attempt, error)
-                        failed.add(node)
-                        if report is not None:
-                            report.timings.append(TaskTiming(node, 0.0, attempt))
-                        _block_descendants(node)
-                        break
-                    if telemetry.enabled:
-                        telemetry.inc("campaign.retries")
-                    _backoff(node, attempt)
-                else:
-                    _succeed(node, result, seconds, attempt)
-                    break
-        return results
-
-    # Pool path: submit every ready task, harvest completions as they
-    # land, release successors the moment their last predecessor is
-    # done.  Retries resubmit the same node (next attempt) after the
-    # backoff while unrelated tasks keep running.
-    from concurrent.futures import FIRST_COMPLETED, wait
-
-    index_of = {node: i for i, node in enumerate(dag.nodes)}
-    unmet = {
-        node: sum(1 for p in dag.predecessors(node) if p not in done)
-        for node in pending
-    }
-    pool.tasks_run += len(pending)
-    in_flight: Dict[Any, Tuple[str, int]] = {}
-
-    def _submit(node: str, attempt: int) -> None:
-        future = pool.submit_attempt(fn, args_by_node[node], chaos, node, attempt)
-        in_flight[future] = (node, attempt)
-
-    for node in pending:
-        if unmet[node] == 0:
-            _submit(node, 1)
-
-    while in_flight:
-        finished, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
-        # Successes first (and in declaration order) so an abort under
-        # on_error="raise" still checkpoints every task that finished.
-        batch = sorted(finished, key=lambda f: index_of[in_flight[f][0]])
-        batch.sort(key=lambda f: f.exception() is not None)
-        for future in batch:
-            node, attempt = in_flight.pop(future)
-            try:
-                result, seconds = future.result()
-            except Exception as error:
-                if attempt >= max_attempts:
-                    results[node] = _give_up(node, attempt, error)
-                    failed.add(node)
-                    if report is not None:
-                        report.timings.append(TaskTiming(node, 0.0, attempt))
-                    _block_descendants(node)
-                    continue
-                if telemetry.enabled:
-                    telemetry.inc("campaign.retries")
-                _backoff(node, attempt)
-                _submit(node, attempt + 1)
-                continue
-            _succeed(node, result, seconds, attempt)
-            for succ in dag.successors(node):
-                if succ not in unmet:
-                    continue
-                unmet[succ] -= 1
-                if unmet[succ] == 0 and succ not in blocked:
-                    _submit(succ, 1)
-    return results
+    position = {node: i for i, node in enumerate(pending)}
+    outputs = (pool if pool is not None else WorkerPool(jobs=1))._dispatch(
+        fn,
+        [args_by_node[node] for node in pending],
+        pending,
+        retry,
+        chaos,
+        on_error,
+        telemetry,
+        report,
+        after=[
+            [position[p] for p in dag.predecessors(node) if p not in done]
+            for node in pending
+        ],
+        on_complete=on_complete,
+    )
+    return dict(zip(pending, outputs))
 
 
 # ---------------------------------------------------------------------------

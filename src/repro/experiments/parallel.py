@@ -36,11 +36,14 @@ generators, heaps of callbacks) ever crosses the process boundary.
 
 from __future__ import annotations
 
+import heapq as _heapq
 import os
 import pickle
+import queue as _queue
 import threading as _threading
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
@@ -154,12 +157,6 @@ class ParallelReport:
         return sum(timing.seconds for timing in self.timings)
 
 
-def _timed_call(fn: Callable[..., T], args: Tuple[Any, ...]) -> Tuple[T, float]:
-    started = _time.perf_counter()
-    result = fn(*args)
-    return result, _time.perf_counter() - started
-
-
 def _attempt_call(
     fn: Callable[..., T],
     args: Tuple[Any, ...],
@@ -181,6 +178,16 @@ def _attempt_call(
     return result, _time.perf_counter() - started
 
 
+def _run_now(fn: Callable[..., Any], *args: Any) -> Future:
+    """Call ``fn(*args)`` in this thread; its outcome as a done future."""
+    future: Future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as error:
+        future.set_exception(error)
+    return future
+
+
 def parallel_map(
     fn: Callable[..., T],
     tasks: Sequence[Tuple[Any, ...]],
@@ -194,9 +201,10 @@ def parallel_map(
 ) -> List[Any]:
     """Apply *fn* to each argument tuple, fanning out over processes.
 
-    Results are returned in task order.  Falls back to an in-process
-    serial loop when *jobs* (default :func:`default_jobs`) is 1, there
-    is a single task, or *fn*/*tasks* cannot be pickled.
+    :meth:`WorkerPool.map_tasks` on a pool of ``min(jobs, len(tasks))``
+    workers that lives for this call only: results come back in task
+    order, and a single task, ``jobs == 1`` or a non-picklable
+    *fn*/*tasks* run in-process with the same results.
 
     Args:
         fn: a module-level (picklable) callable.
@@ -218,115 +226,40 @@ def parallel_map(
     Raises:
         ConfigurationError: for an unknown *on_error* mode.
     """
-    if on_error not in ("raise", "capture"):
-        raise ConfigurationError(
-            f'on_error must be "raise" or "capture", got {on_error!r}'
-        )
     jobs = default_jobs() if jobs is None else max(1, jobs)
-    labels = list(labels) if labels is not None else [str(i) for i in range(len(tasks))]
-    telemetry = resolve_telemetry(telemetry)
-    max_attempts = retry.max_attempts if retry is not None else 1
-    use_pool = (
-        jobs > 1
-        and len(tasks) > 1
-        and _picklable(fn, list(tasks))
-        and (chaos is None or _picklable(chaos))
-    )
-
-    if report is not None:
-        report.mode = "process-pool" if use_pool else "serial"
-        report.jobs = jobs if use_pool else 1
-
-    def _backoff(label: str, attempt: int) -> None:
-        if retry is None:
-            return
-        delay = retry.delay(label, attempt)
-        if delay > 0.0:
-            _time.sleep(delay)
-
-    def _give_up(label: str, attempt: int, error: BaseException) -> TaskError:
-        if telemetry.enabled:
-            telemetry.inc("campaign.gave_up")
-        if on_error == "raise":
-            raise error
-        return TaskError(label=label, error=repr(error), attempts=attempt)
-
-    outputs: List[Any] = []
-    if not use_pool:
-        for label, args in zip(labels, tasks):
-            for attempt in range(1, max_attempts + 1):
-                try:
-                    result, seconds = _attempt_call(fn, args, chaos, label, attempt)
-                except Exception as error:
-                    if attempt >= max_attempts:
-                        outputs.append(_give_up(label, attempt, error))
-                        if report is not None:
-                            report.timings.append(TaskTiming(label, 0.0, attempt))
-                        break
-                    if telemetry.enabled:
-                        telemetry.inc("campaign.retries")
-                    _backoff(label, attempt)
-                else:
-                    outputs.append(result)
-                    if report is not None:
-                        report.timings.append(TaskTiming(label, seconds, attempt))
-                    break
-        return outputs
-
-    workers = min(jobs, len(tasks))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_attempt_call, fn, args, chaos, label, 1)
-            for label, args in zip(labels, tasks)
-        ]
-        # Collect in submission order.  A failed future retries by
-        # resubmitting the same task (next attempt number) after the
-        # backoff; later tasks keep running in other workers meanwhile.
-        for index, (label, future) in enumerate(zip(labels, futures)):
-            attempt = 1
-            while True:
-                try:
-                    result, seconds = future.result()
-                except Exception as error:
-                    if attempt >= max_attempts:
-                        outputs.append(_give_up(label, attempt, error))
-                        if report is not None:
-                            report.timings.append(TaskTiming(label, 0.0, attempt))
-                        break
-                    if telemetry.enabled:
-                        telemetry.inc("campaign.retries")
-                    _backoff(label, attempt)
-                    attempt += 1
-                    future = pool.submit(
-                        _attempt_call, fn, tasks[index], chaos, label, attempt
-                    )
-                else:
-                    outputs.append(result)
-                    if report is not None:
-                        report.timings.append(TaskTiming(label, seconds, attempt))
-                    break
-    return outputs
+    with WorkerPool(jobs=min(jobs, len(tasks))) as pool:
+        return pool.map_tasks(
+            fn,
+            tasks,
+            labels=labels,
+            retry=retry,
+            chaos=chaos,
+            on_error=on_error,
+            telemetry=telemetry,
+            report=report,
+        )
 
 
 # ---------------------------------------------------------------------------
-# Persistent worker pool (long-lived callers: the job service)
+# Worker pool: the one dispatcher
 # ---------------------------------------------------------------------------
 
 class WorkerPool:
     """A process pool that survives across jobs instead of per call.
 
-    :func:`parallel_map` tears its ``ProcessPoolExecutor`` down after
-    every batch — the right shape for a one-shot CLI run, the wrong one
-    for a long-lived service where pool spin-up would dominate small
-    jobs.  This class keeps one executor alive across any number of
-    :meth:`run_task` calls and makes teardown **idempotent**: a pool
-    shared between a request handler and a process-exit hook may see
-    ``shutdown`` twice (or concurrently), and the second call must be a
-    no-op rather than double-joining workers.
+    Every way of running tasks — :func:`parallel_map`, :meth:`map_tasks`,
+    :meth:`run_task` and :func:`repro.experiments.dag.run_dag` — goes
+    through this class's one dispatch loop, so attempts, chaos, backoff,
+    ``on_error`` and the retry/give-up counters behave the same on every
+    path.  Tasks run in-process iff ``jobs == 1`` or the function, its
+    arguments or the chaos policy cannot be pickled; otherwise they run
+    on one executor kept alive across calls (pool spin-up would dominate
+    a long-lived service's small jobs).
 
-    ``jobs=1`` runs tasks inline in the calling thread — same retry and
-    chaos semantics, no subprocess — which is also the graceful-fallback
-    path when a task cannot be pickled.
+    Teardown is **idempotent**: a pool shared between a request handler
+    and a process-exit hook may see ``shutdown`` twice (or
+    concurrently), and the second call must be a no-op rather than
+    double-joining workers.
     """
 
     def __init__(self, jobs: Optional[int] = None) -> None:
@@ -334,9 +267,10 @@ class WorkerPool:
         self._executor: Optional[ProcessPoolExecutor] = None
         self._closed = False
         self._lock = _threading.Lock()
-        #: Tasks handed to :meth:`run_task` over the pool's lifetime
-        #: (cache hits served without touching the pool leave this
-        #: untouched — the service tests assert exactly that).
+        #: Tasks dispatched over the pool's lifetime: one per task that
+        #: started an attempt, however many attempts it took (cache hits
+        #: and blocked DAG tasks never reach the pool — the service
+        #: tests assert exactly that).
         self.tasks_run = 0
 
     # -- lifecycle ------------------------------------------------------
@@ -356,6 +290,18 @@ class WorkerPool:
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(max_workers=self.jobs)
             return self._executor
+
+    def _discard(self, executor: ProcessPoolExecutor) -> None:
+        """Drop a broken *executor* so the next attempt gets fresh workers.
+
+        Only the current executor is swapped out: concurrent callers
+        share it, and one of them may already have replaced it.
+        """
+        with self._lock:
+            if self._executor is not executor:
+                return
+            self._executor = None
+        executor.shutdown(wait=False)
 
     def shutdown(self) -> None:
         """Release the workers.  Safe to call any number of times.
@@ -395,72 +341,18 @@ class WorkerPool:
         chaos: Optional[WorkerChaos] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> Tuple[T, TaskTiming]:
-        """Run one task to completion under the retry/chaos contract.
+        """Run one task to completion; its result and timing.
 
         Blocking; callers that must not block (the asyncio service) wrap
-        this in a thread.  Semantics match :func:`parallel_map` with
-        ``on_error="raise"``: *chaos* may kill attempts deterministically
+        this in a thread.  *chaos* may kill attempts deterministically
         per ``(label, attempt)``, *retry* re-runs them with backoff, and
-        the task's last error propagates once attempts are exhausted.
+        the last error propagates once attempts are exhausted.
         """
-        if self._closed:
-            raise ConfigurationError("WorkerPool is shut down")
-        telemetry = resolve_telemetry(telemetry)
-        max_attempts = retry.max_attempts if retry is not None else 1
-        use_pool = (
-            self.jobs > 1
-            and _picklable(fn, list(args))
-            and (chaos is None or _picklable(chaos))
+        report = ParallelReport()
+        [result] = self._dispatch(
+            fn, [args], [label], retry, chaos, "raise", telemetry, report
         )
-        self.tasks_run += 1
-        last_error: Optional[BaseException] = None
-        for attempt in range(1, max_attempts + 1):
-            try:
-                if use_pool:
-                    future = self._ensure_executor().submit(
-                        _attempt_call, fn, args, chaos, label, attempt
-                    )
-                    result, seconds = future.result()
-                else:
-                    result, seconds = _attempt_call(fn, args, chaos, label, attempt)
-            except Exception as error:
-                last_error = error
-                if attempt >= max_attempts:
-                    if telemetry.enabled:
-                        telemetry.inc("campaign.gave_up")
-                    raise
-                if telemetry.enabled:
-                    telemetry.inc("campaign.retries")
-                if retry is not None:
-                    delay = retry.delay(label, attempt)
-                    if delay > 0.0:
-                        _time.sleep(delay)
-            else:
-                return result, TaskTiming(label, seconds, attempt)
-        raise last_error  # pragma: no cover - unreachable (loop raises)
-
-    def submit_attempt(
-        self,
-        fn: Callable[..., T],
-        args: Tuple[Any, ...],
-        chaos: Optional[WorkerChaos],
-        label: str,
-        attempt: int,
-    ):
-        """Submit ONE attempt and return its future (no retry loop).
-
-        The building block the DAG dispatcher (:mod:`repro.experiments.dag`)
-        schedules with: it owns the retry/backoff policy itself because a
-        failed attempt must not block unrelated ready tasks the way the
-        blocking :meth:`run_task` loop would.  Semantics per attempt are
-        identical — the same :func:`_attempt_call` body runs worker-side,
-        so chaos decisions stay a pure function of ``(label, attempt)``.
-        """
-        if self._closed:
-            raise ConfigurationError("WorkerPool is shut down")
-        return self._ensure_executor().submit(
-            _attempt_call, fn, args, chaos, label, attempt
-        )
+        return result, report.timings[0]
 
     def map_tasks(
         self,
@@ -473,13 +365,38 @@ class WorkerPool:
         telemetry: Optional[Telemetry] = None,
         report: Optional[ParallelReport] = None,
     ) -> List[Any]:
-        """:func:`parallel_map` semantics on the persistent executor.
+        """Apply *fn* to each argument tuple; results in task order.
 
-        Results come back in task order; retry/chaos/``on_error``
-        contracts match :func:`parallel_map` exactly, so a campaign can
-        move from the per-call pool to a long-lived one without
-        changing results.  Each task counts toward :attr:`tasks_run`
-        (the batch is N tasks, however they are scheduled).
+        See :func:`parallel_map` for the meaning of each argument.
+        """
+        return self._dispatch(
+            fn, tasks, labels, retry, chaos, on_error, telemetry, report
+        )
+
+    def _dispatch(
+        self,
+        fn: Callable[..., Any],
+        tasks: Sequence[Tuple[Any, ...]],
+        labels: Optional[Sequence[str]],
+        retry: Optional[RetryPolicy],
+        chaos: Optional[WorkerChaos],
+        on_error: str,
+        telemetry: Optional[Telemetry],
+        report: Optional[ParallelReport],
+        after: Optional[Sequence[Sequence[int]]] = None,
+        on_complete: Optional[Callable[[str, Any, TaskTiming], None]] = None,
+    ) -> List[Any]:
+        """The dispatch loop every public face shares.
+
+        Runs ``fn(*tasks[i])`` for each position *i*, never before the
+        positions in ``after[i]`` succeeded; a task whose predecessor
+        failed is not run, and its slot holds a :class:`TaskError` with
+        ``attempts=0``.  ``after`` must list predecessors at earlier
+        positions.  In-process, tasks run one at a time in position
+        order, each to its last attempt; on the executor, every ready
+        task is in flight at once and completions are handled as they
+        land, successes first, so a ``"raise"`` abort still reports
+        (via *on_complete*) every task that finished.
         """
         if on_error not in ("raise", "capture"):
             raise ConfigurationError(
@@ -487,95 +404,112 @@ class WorkerPool:
             )
         if self._closed:
             raise ConfigurationError("WorkerPool is shut down")
-        labels = (
-            list(labels)
-            if labels is not None
-            else [str(i) for i in range(len(tasks))]
-        )
+        count = len(tasks)
+        if labels is None:
+            labels = [str(i) for i in range(count)]
         telemetry = resolve_telemetry(telemetry)
         max_attempts = retry.max_attempts if retry is not None else 1
-        use_pool = (
-            self.jobs > 1
-            and len(tasks) > 1
-            and _picklable(fn, list(tasks))
-            and (chaos is None or _picklable(chaos))
-        )
-        self.tasks_run += len(tasks)
+        inline = self.jobs == 1 or not _picklable(fn, list(tasks), chaos)
         if report is not None:
-            report.mode = "process-pool" if use_pool else "serial"
-            report.jobs = self.jobs if use_pool else 1
+            report.mode = "serial" if inline else "process-pool"
+            report.jobs = 1 if inline else self.jobs
 
-        def _give_up(label: str, attempt: int, error: BaseException) -> TaskError:
-            if telemetry.enabled:
-                telemetry.inc("campaign.gave_up")
-            if on_error == "raise":
-                raise error
-            return TaskError(label=label, error=repr(error), attempts=attempt)
+        successors: List[List[int]] = [[] for _ in range(count)]
+        unmet = [0] * count
+        for position, predecessors in enumerate(after or ()):
+            unmet[position] = len(predecessors)
+            for predecessor in predecessors:
+                successors[predecessor].append(position)
+        ready = [position for position in range(count) if not unmet[position]]
+        results: List[Any] = [None] * count
+        blocked: set = set()
+        #: future -> (position, attempt, executor it was submitted to)
+        in_flight: Dict[Future, Tuple[int, int, Any]] = {}
+        landed: "_queue.SimpleQueue[Future]" = _queue.SimpleQueue()
 
-        def _backoff(label: str, attempt: int) -> None:
-            if retry is None:
-                return
-            delay = retry.delay(label, attempt)
-            if delay > 0.0:
-                _time.sleep(delay)
-
-        outputs: List[Any] = []
-        if not use_pool:
-            for label, args in zip(labels, tasks):
-                for attempt in range(1, max_attempts + 1):
-                    try:
-                        result, seconds = _attempt_call(
-                            fn, args, chaos, label, attempt
-                        )
-                    except Exception as error:
-                        if attempt >= max_attempts:
-                            outputs.append(_give_up(label, attempt, error))
-                            if report is not None:
-                                report.timings.append(
-                                    TaskTiming(label, 0.0, attempt)
-                                )
-                            break
-                        if telemetry.enabled:
-                            telemetry.inc("campaign.retries")
-                        _backoff(label, attempt)
-                    else:
-                        outputs.append(result)
-                        if report is not None:
-                            report.timings.append(
-                                TaskTiming(label, seconds, attempt)
-                            )
-                        break
-            return outputs
-
-        executor = self._ensure_executor()
-        futures = [
-            executor.submit(_attempt_call, fn, args, chaos, label, 1)
-            for label, args in zip(labels, tasks)
-        ]
-        for index, (label, future) in enumerate(zip(labels, futures)):
-            attempt = 1
-            while True:
+        def submit(position: int, attempt: int) -> None:
+            label = labels[position]
+            call = (_attempt_call, fn, tasks[position], chaos, label, attempt)
+            executor = None
+            if inline:
+                future = _run_now(*call)
+            else:
+                executor = self._ensure_executor()
                 try:
+                    future = executor.submit(*call)
+                except BrokenProcessPool as error:
+                    future = Future()
+                    future.set_exception(error)
+            if attempt == 1:
+                with self._lock:  # service threads share the pool
+                    self.tasks_run += 1
+            in_flight[future] = (position, attempt, executor)
+            future.add_done_callback(landed.put)
+
+        def block_descendants(position: int) -> None:
+            stack = list(successors[position])
+            while stack:
+                descendant = stack.pop()
+                if descendant in blocked:
+                    continue
+                blocked.add(descendant)
+                results[descendant] = TaskError(
+                    label=labels[descendant],
+                    error=f"blocked: predecessor {labels[position]!r} failed",
+                    attempts=0,
+                )
+                if telemetry.enabled:
+                    telemetry.inc("campaign.blocked")
+                stack.extend(successors[descendant])
+
+        while ready or in_flight:
+            # In-process, one task at a time in position order;
+            # otherwise everything that is ready.
+            while ready and not (inline and in_flight):
+                submit(_heapq.heappop(ready), 1)
+            batch = [landed.get()]
+            while not landed.empty():
+                batch.append(landed.get())
+            batch.sort(
+                key=lambda f: (f.exception() is not None, in_flight[f][0])
+            )
+            for future in batch:
+                position, attempt, executor = in_flight.pop(future)
+                label = labels[position]
+                error = future.exception()
+                if error is None:
                     result, seconds = future.result()
-                except Exception as error:
-                    if attempt >= max_attempts:
-                        outputs.append(_give_up(label, attempt, error))
-                        if report is not None:
-                            report.timings.append(TaskTiming(label, 0.0, attempt))
-                        break
+                    results[position] = result
+                    timing = TaskTiming(label, seconds, attempt)
+                    if report is not None:
+                        report.timings.append(timing)
+                    if on_complete is not None:
+                        on_complete(label, result, timing)
+                    for successor in successors[position]:
+                        unmet[successor] -= 1
+                        if not unmet[successor]:
+                            _heapq.heappush(ready, successor)
+                    continue
+                if isinstance(error, BrokenProcessPool) and executor:
+                    self._discard(executor)
+                if attempt < max_attempts:
                     if telemetry.enabled:
                         telemetry.inc("campaign.retries")
-                    _backoff(label, attempt)
-                    attempt += 1
-                    future = executor.submit(
-                        _attempt_call, fn, tasks[index], chaos, label, attempt
-                    )
-                else:
-                    outputs.append(result)
-                    if report is not None:
-                        report.timings.append(TaskTiming(label, seconds, attempt))
-                    break
-        return outputs
+                    if retry is not None:
+                        _time.sleep(retry.delay(label, attempt))
+                    submit(position, attempt + 1)
+                    continue
+                if telemetry.enabled:
+                    telemetry.inc("campaign.gave_up")
+                if report is not None:
+                    report.timings.append(TaskTiming(label, 0.0, attempt))
+                if on_error == "raise":
+                    raise error
+                results[position] = TaskError(
+                    label=label, error=repr(error), attempts=attempt
+                )
+                block_descendants(position)
+        return results
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ fraction, per-reason straggler counters, cache hits, and shard count.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 from dataclasses import dataclass, field
@@ -573,11 +574,10 @@ def execute_plan(
             executing, fresh payloads are stored back.
         pool: optional persistent
             :class:`~repro.experiments.parallel.WorkerPool`; without
-            one, a per-call :func:`parallel_map` (with *jobs* workers)
-            runs the tasks.
-        jobs: worker count for the per-call path (ignored with *pool*).
-        retry / chaos / on_error: the campaign resilience contract,
-            verbatim from :func:`parallel_map`.
+            one, a pool of *jobs* workers lives for this call only.
+        jobs: worker count for the per-call pool (ignored with *pool*).
+        retry / chaos / on_error: the campaign resilience contract of
+            :func:`~repro.experiments.parallel.parallel_map`.
         telemetry: sink for the ``plan.*`` execution counters.
         collect: attach per-job telemetry snapshots to payloads.
         shard_size: devices per kernel launch.  Default: one shard per
@@ -589,7 +589,7 @@ def execute_plan(
         A :class:`PlanResult` with per-job payloads in original job
         order — byte-identical to solo execution of each job.
     """
-    from repro.experiments.parallel import default_jobs, parallel_map
+    from repro.experiments.parallel import TaskError, WorkerPool, default_jobs
 
     telemetry = resolve_telemetry(telemetry)
     effective_jobs = (
@@ -642,8 +642,12 @@ def execute_plan(
         slots.append([straggler.index])
 
     if tasks:
-        if pool is not None:
-            outputs = pool.map_tasks(
+        with (
+            contextlib.nullcontext(pool)
+            if pool is not None
+            else WorkerPool(jobs=min(effective_jobs, len(tasks)))
+        ) as runner:
+            outputs = runner.map_tasks(
                 _plan_task,
                 tasks,
                 labels=labels,
@@ -652,19 +656,6 @@ def execute_plan(
                 on_error=on_error,
                 telemetry=telemetry,
             )
-        else:
-            outputs = parallel_map(
-                _plan_task,
-                tasks,
-                jobs=jobs,
-                labels=labels,
-                retry=retry,
-                chaos=chaos,
-                on_error=on_error,
-                telemetry=telemetry,
-            )
-        from repro.experiments.parallel import TaskError
-
         for indices, output in zip(slots, outputs):
             if isinstance(output, TaskError):
                 for index in indices:

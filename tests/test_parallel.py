@@ -449,3 +449,223 @@ class TestWorkerPoolMapTasks:
         with WorkerPool(jobs=1) as pool:
             with pytest.raises(ConfigurationError, match="on_error"):
                 pool.map_tasks(_square, [(1,)], on_error="ignore")
+
+
+def _die(*_):
+    """Kill the worker process running this task, as an OOM kill would."""
+    import os
+    import signal
+
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _die_once(marker):
+    """Kill the worker on the first call; later calls return 'survived'."""
+    import os
+
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        _die()
+    return "survived"
+
+
+def _square_unless_three(x):
+    if x == 3:
+        raise ValueError("three is cursed")
+    return x * x
+
+
+def _fail_at_root(node):
+    if node == "a":
+        raise RuntimeError("root failed")
+    return node
+
+
+class TestOneDispatcher:
+    """`parallel_map`, `map_tasks`, `run_task` and `run_dag` share one
+    dispatch loop: same results, same error rows, same counters."""
+
+    def test_killed_worker_does_not_break_the_pool(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.experiments.parallel import WorkerPool
+
+        with WorkerPool(jobs=2) as pool:
+            with pytest.raises(BrokenProcessPool):
+                pool.run_task(_die, ())
+            result, _ = pool.run_task(_square, (4,))
+            assert result == 16
+            assert pool.map_tasks(_square, [(i,) for i in range(4)]) == [
+                0,
+                1,
+                4,
+                9,
+            ]
+
+    def test_killed_worker_is_a_retried_attempt(self, tmp_path):
+        from repro.experiments.parallel import RetryPolicy, WorkerPool
+
+        with WorkerPool(jobs=2) as pool:
+            result, timing = pool.run_task(
+                _die_once,
+                (str(tmp_path / "died"),),
+                retry=RetryPolicy(max_attempts=2, base_delay=0.0),
+            )
+        assert result == "survived"
+        assert timing.attempts == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_tasks_run_counts_dispatched_tasks_only(self, jobs):
+        from repro.experiments.dag import CampaignDag, run_dag
+        from repro.experiments.parallel import TaskError, WorkerPool
+
+        dag = CampaignDag([("a", ()), ("b", ("a",)), ("c", ("b",))])
+        with WorkerPool(jobs=jobs) as pool:
+            results = run_dag(
+                dag, _fail_at_root, {n: (n,) for n in dag.nodes}, pool=pool
+            )
+            assert pool.tasks_run == 1
+        assert [results[n].attempts for n in "abc"] == [1, 0, 0]
+        assert all(isinstance(results[n], TaskError) for n in "abc")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_four_faces_agree_under_chaos_and_capture(self, jobs):
+        from repro.experiments.dag import CampaignDag, run_dag
+        from repro.experiments.parallel import (
+            RetryPolicy,
+            TaskError,
+            WorkerPool,
+        )
+        from repro.faults.inject import WorkerChaos
+        from repro.observability import Telemetry
+
+        tasks = [(i,) for i in range(6)]
+        labels = [f"t{i}" for i in range(6)]
+        contract = dict(
+            retry=RetryPolicy(max_attempts=3, base_delay=0.0),
+            # Kills t0 and t5 twice and t2 once before they succeed.
+            chaos=WorkerChaos(seed=0, probability=0.5, max_crashes=2),
+        )
+
+        def rows(results):
+            return [
+                (r.label, r.attempts) if isinstance(r, TaskError) else r
+                for r in results
+            ]
+
+        def counters(telemetry):
+            snapshot = telemetry.metrics.snapshot()
+            return {
+                name: snapshot.get(name, {}).get("value", 0)
+                for name in ("campaign.retries", "campaign.gave_up")
+            }
+
+        faces = {}
+        telemetry = Telemetry()
+        faces["parallel_map"] = (
+            parallel_map(
+                _square_unless_three,
+                tasks,
+                jobs=jobs,
+                labels=labels,
+                on_error="capture",
+                telemetry=telemetry,
+                **contract,
+            ),
+            counters(telemetry),
+        )
+        with WorkerPool(jobs=jobs) as pool:
+            telemetry = Telemetry()
+            faces["map_tasks"] = (
+                pool.map_tasks(
+                    _square_unless_three,
+                    tasks,
+                    labels=labels,
+                    on_error="capture",
+                    telemetry=telemetry,
+                    **contract,
+                ),
+                counters(telemetry),
+            )
+            telemetry = Telemetry()
+            dag = CampaignDag([(label, ()) for label in labels])
+            by_node = run_dag(
+                dag,
+                _square_unless_three,
+                dict(zip(labels, tasks)),
+                pool=pool,
+                on_error="capture",
+                telemetry=telemetry,
+                **contract,
+            )
+            faces["run_dag"] = (
+                [by_node[label] for label in labels],
+                counters(telemetry),
+            )
+            telemetry = Telemetry()
+            singles = []
+            for label, args in zip(labels, tasks):
+                try:
+                    singles.append(
+                        pool.run_task(
+                            _square_unless_three,
+                            args,
+                            label=label,
+                            telemetry=telemetry,
+                            **contract,
+                        )[0]
+                    )
+                except ValueError as error:
+                    singles.append(TaskError(label, repr(error), 3))
+            faces["run_task"] = (singles, counters(telemetry))
+            assert pool.tasks_run == 3 * len(tasks)
+
+        reference = faces["parallel_map"]
+        assert rows(reference[0]) == [0, 1, 4, ("t3", 3), 16, 25]
+        assert reference[1]["campaign.gave_up"] == 1
+        assert reference[1]["campaign.retries"] == 5 + 2  # chaos + t3's
+        for name, (results, seen) in faces.items():
+            assert rows(results) == rows(reference[0]), name
+            assert seen == reference[1], name
+
+    def test_single_task_on_a_pool_runs_in_a_worker(self):
+        import os
+
+        from repro.experiments.dag import CampaignDag, run_dag
+        from repro.experiments.parallel import WorkerPool
+
+        report = ParallelReport()
+        with WorkerPool(jobs=2) as pool:
+            [pid] = pool.map_tasks(os.getpid, [()], report=report)
+            dag_pid = run_dag(
+                CampaignDag([("only", ())]), os.getpid, {"only": ()}, pool=pool
+            )["only"]
+        assert report.mode == "process-pool"
+        assert pid != os.getpid()
+        assert dag_pid != os.getpid()
+
+    def test_tasks_run_survives_concurrent_callers(self):
+        import sys
+        import threading
+
+        from repro.experiments.parallel import WorkerPool
+
+        pool = WorkerPool(jobs=1)
+        calls_per_thread = 200
+
+        def hammer():
+            for i in range(calls_per_thread):
+                pool.run_task(_square, (i,))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert pool.tasks_run == 8 * calls_per_thread
