@@ -54,12 +54,14 @@ __all__ = [
     "CampaignPlan",
     "PlanResult",
     "DagPlanResult",
+    "cached_payload",
     "execute_campaign_dag",
     "job_result_key",
     "format_fleet_summary",
     "run_fleet_batch",
     "plan_campaign",
     "execute_plan",
+    "run_plan_task",
 ]
 
 #: Fixed-timestep resolution every vec campaign job shares by default.
@@ -99,12 +101,12 @@ class CampaignJob:
     after: Tuple[str, ...] = ()
 
     @classmethod
-    def from_request(cls, request, label: Optional[str] = None) -> "CampaignJob":
-        """A job from a validated service :class:`JobRequest`."""
-        from repro.spec import load_scenario
+    def from_request(cls, request, label: str = "request") -> "CampaignJob":
+        """A job from a validated service :class:`JobRequest`.
 
-        if label is None:
-            label = load_scenario(request.scenario_json).name
+        The label is scheduling metadata only (it never joins the key),
+        so the request is not parsed to name it.
+        """
         return cls(
             label=label,
             scenario_json=request.scenario_json,
@@ -230,12 +232,12 @@ def run_fleet_batch(
     piecewise-constant environment traces (synthetic piecewise or
     hold-interpolated replays) are compiled into operating-point
     segments (:func:`~repro.vec.batch.compile_operating_segments`) and
-    advanced with :meth:`FleetKernel.run_segments`; static batches take
-    the single-segment :meth:`FleetKernel.run` path unchanged.
-    Payloads — including the optional telemetry snapshot, which is
-    synthesized per job from simulation-derived values only — carry no
-    trace of the batch, so a batch of N and N batches of one return
-    identical bits.
+    every batch advances through :meth:`FleetKernel.run_segments`; a
+    static batch compiles to one segment, which steps bit-identically
+    to :meth:`FleetKernel.run` over the same horizon.  Payloads —
+    including the optional telemetry snapshot, which is synthesized per
+    job from simulation-derived values only — carry no trace of the
+    batch, so a batch of N and N batches of one return identical bits.
     """
     from repro.core.builder import SystemKind
     from repro.spec import ScenarioSpec
@@ -298,14 +300,9 @@ def run_fleet_batch(
         scenarios, horizon, dt,
         power_scales=[job.power_scale for job in jobs],
     )
-    kernel = FleetKernel(state)
-    decay = leak_decay(state.leak_tau, dt)
-    if len(segments) > 1:
-        summary = kernel.run_segments(segments, dt, decay=decay)
-    else:
-        # Static batch: the pre-existing single-launch path, untouched
-        # so trace-less campaigns stay byte-stable.
-        summary = kernel.run(horizon, dt=dt, decay=decay)
+    summary = FleetKernel(state).run_segments(
+        segments, dt, decay=leak_decay(state.leak_tau, dt)
+    )
     steps = int(summary["steps"])
 
     payloads: List[Dict[str, Any]] = []
@@ -526,16 +523,29 @@ def _run_campaign_job(job: CampaignJob, collect: bool = False) -> Dict[str, Any]
     )
 
 
-def _plan_task(kind: str, jobs: Tuple[CampaignJob, ...], collect: bool) -> List[Any]:
-    """Pool worker entry: one shard (vec batch) or one straggler.
+def run_plan_task(
+    kind: str, jobs: Tuple[CampaignJob, ...], collect: bool
+) -> List[Any]:
+    """Pool worker entry: one shard (``"batch"``) or one straggler (``"solo"``).
 
     Module-level and fed only frozen dataclasses of plain strings, so
     it ships across the process pool; always returns a list of payloads
-    so the parent unpacks shards and solo jobs uniformly.
+    so callers — :func:`execute_plan` and the service — unpack shards
+    and solo jobs uniformly.
     """
     if kind == "batch":
         return run_fleet_batch(jobs, collect=collect)
     return [_run_campaign_job(job, collect=collect) for job in jobs]
+
+
+def cached_payload(cache, key: str) -> Optional[Dict[str, Any]]:
+    """The job payload *cache* holds under *key*, or ``None``.
+
+    Entries of another shape (a foreign or stale payload under the same
+    key) count as misses, for campaigns and service submits alike.
+    """
+    payload = cache.get(key)
+    return payload if isinstance(payload, dict) and "summary" in payload else None
 
 
 @dataclass
@@ -607,8 +617,8 @@ def execute_plan(
     cached = [False] * total
     if cache is not None:
         for index, key in enumerate(keys):
-            payload = cache.get(key)
-            if isinstance(payload, dict) and "summary" in payload:
+            payload = cached_payload(cache, key)
+            if payload is not None:
                 results[index] = payload
                 cached[index] = True
         hits = sum(cached)
@@ -648,7 +658,7 @@ def execute_plan(
             else WorkerPool(jobs=min(effective_jobs, len(tasks)))
         ) as runner:
             outputs = runner.map_tasks(
-                _plan_task,
+                run_plan_task,
                 tasks,
                 labels=labels,
                 retry=retry,

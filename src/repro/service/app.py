@@ -29,10 +29,12 @@ hits) is visible through the health endpoint and the CLI's
 The job store is bounded and duplicate-free: terminal jobs expire after
 ``job_ttl`` seconds (polling an evicted id answers **410 Gone**), and a
 submit whose result key matches a job still in flight attaches to it
-instead of queueing duplicate work.  With ``batch_window > 0`` a worker
-lingers briefly after each dequeue and coalesces queued vec-compatible
-jobs into one fleet batch (:mod:`repro.experiments.plan`) whose
-per-job payloads are byte-identical to solo execution.
+instead of queueing duplicate work.  Every dequeued job runs through the
+campaign planner (:mod:`repro.experiments.plan`); with
+``batch_window > 0`` a worker lingers briefly after each dequeue so the
+planner's cohorts can coalesce queued vec-compatible jobs into shared
+fleet batches, whose per-job payloads are byte-identical to solo
+execution.
 
 Submissions may form a DAG: ``"after": ["job-1", ...]`` parks a job
 until the named predecessors settle (unknown ids are a 400 at the
@@ -62,10 +64,15 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import ConfigurationError, SpecError
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import RetryPolicy, WorkerPool
+from repro.experiments.plan import (
+    CampaignJob,
+    cached_payload,
+    plan_campaign,
+    run_plan_task,
+)
 from repro.faults.inject import WorkerChaos
 from repro.observability.telemetry import Telemetry
 from repro.service.jobs import JobRequest, JobResult, JobStatus
-from repro.service.runner import run_scenario_job
 
 #: The frozen public API generation this service speaks.
 API_VERSION = "v1"
@@ -90,8 +97,8 @@ class ServiceConfig:
     #: behaviour).  Evicted ids answer 410 Gone, not 404.
     job_ttl: Optional[float] = None
     #: Seconds a worker lingers after dequeuing a job to coalesce other
-    #: queued vec-compatible jobs into one fleet batch; ``0`` executes
-    #: strictly one job per dequeue.
+    #: queued vec-compatible jobs into shared fleet batches (the campaign
+    #: planner's cohorts); ``0`` executes strictly one job per dequeue.
     batch_window: float = 0.0
 
     def __post_init__(self) -> None:
@@ -205,13 +212,11 @@ class ServiceApp:
     async def _worker_loop(self) -> None:
         assert self._queue is not None
         while True:
-            job: _Job = await self._queue.get()
-            group = [job]
+            group: List[_Job] = [await self._queue.get()]
             window = self.config.batch_window
             if window > 0.0:
-                # Linger briefly to coalesce queued compatible jobs into
-                # one fleet batch (the campaign planner's cohort rule,
-                # applied to whatever the window drains).
+                # Linger briefly so the planner can coalesce queued
+                # compatible jobs into shared fleet batches.
                 deadline = time.monotonic() + window
                 while True:
                     remaining = deadline - time.monotonic()
@@ -224,141 +229,100 @@ class ServiceApp:
                     except asyncio.TimeoutError:
                         break
             try:
-                for batch in self._group_batch(group):
-                    if len(batch) == 1:
-                        await self._execute(batch[0])
-                    else:
-                        await self._execute_batch(batch)
+                await self._execute(group)
+            except Exception as error:
+                # Nothing may end a worker: fail what the group left
+                # unsettled, so its followers and dependents still wake.
+                await self._fail(
+                    [
+                        job
+                        for job in group
+                        if job.status.state in ("queued", "running")
+                    ],
+                    error,
+                )
             finally:
                 for _ in group:
                     self._queue.task_done()
 
-    def _group_batch(self, group: List[_Job]) -> List[List[_Job]]:
-        """Partition drained jobs into executable batches.
+    async def _execute(self, group: List[_Job]) -> None:
+        """Run dequeued jobs as the campaign planner partitions them.
 
-        Vec jobs sharing a resolved horizon form one batch (they were
-        capability-checked at admission, so the horizon is the only
-        remaining cohort key); scalar jobs execute one by one.  Order of
-        first appearance is preserved.
+        :func:`plan_campaign` splits *group* exactly as it splits a
+        campaign; each cohort and each straggler then runs as ONE pool
+        task of :func:`run_plan_task`, in order of first submission, and
+        every job in it settles from that task.  Payloads are
+        byte-identical to solo execution however the group was split.
         """
-        from repro.experiments.plan import DEFAULT_VEC_HORIZON
-
-        batches: List[List[_Job]] = []
-        vec_batches: Dict[float, List[_Job]] = {}
-        for job in group:
-            request = job.request
-            if request.backend != "vec":
-                batches.append([job])
+        plan = plan_campaign(
+            [
+                CampaignJob.from_request(job.request, label=job.status.job_id)
+                for job in group
+            ],
+            telemetry=self.telemetry,
+        )
+        units = [
+            ("batch", [i for i, _ in cohort.jobs], tuple(j for _, j in cohort.jobs))
+            for cohort in plan.cohorts
+        ] + [
+            ("solo", [straggler.index], (straggler.job,))
+            for straggler in plan.stragglers
+        ]
+        for kind, indices, tasks in sorted(units, key=lambda unit: unit[1][0]):
+            jobs = [group[index] for index in indices]
+            batched = {"batched": len(jobs)} if len(jobs) > 1 else {}
+            for job in jobs:
+                job.status.state = "running"
+                await job.emit("running", **batched)
+            label = (
+                f"service:batch:{len(jobs)}"
+                if batched
+                else f"service:{jobs[0].status.result_key[:12]}"
+            )
+            try:
+                payloads, timing = await asyncio.to_thread(
+                    self.pool.run_task,
+                    run_plan_task,
+                    (kind, tasks, self.config.collect),
+                    label,
+                    self.config.retry,
+                    self.config.chaos,
+                    self.telemetry,
+                )
+            except Exception as error:
+                await self._fail(jobs, error)
                 continue
-            horizon = (
-                request.horizon
-                if request.horizon is not None
-                else DEFAULT_VEC_HORIZON
-            )
-            batch = vec_batches.get(horizon)
-            if batch is None:
-                batch = vec_batches[horizon] = []
-                batches.append(batch)
-            batch.append(job)
-        return batches
+            if batched:
+                self.telemetry.inc("service.jobs_batched", len(jobs))
+            self.telemetry.observe("service.job_seconds", timing.seconds)
+            done = batched or {"seconds": round(timing.seconds, 6)}
+            for job, payload in zip(jobs, payloads):
+                try:
+                    self.cache.put(job.status.result_key, payload)
+                except OSError:
+                    # The result stands; only its cache entry is lost.
+                    self.telemetry.inc("service.cache_put_errors")
+                job.status.attempts = timing.attempts
+                job.result = JobResult(
+                    job_id=job.status.job_id,
+                    result_key=job.status.result_key,
+                    cached=False,
+                    payload=payload,
+                )
+                job.status.state = "done"
+                job.status.finished_at = time.time()
+                self.telemetry.inc("service.jobs_completed")
+                await job.emit("done", attempts=timing.attempts, **done)
+                await self._settle(job)
 
-    async def _execute(self, job: _Job) -> None:
-        request = job.request
-        job.status.state = "running"
-        await job.emit("running")
-        try:
-            payload, timing = await asyncio.to_thread(
-                self.pool.run_task,
-                run_scenario_job,
-                (
-                    request.scenario_json,
-                    request.system,
-                    request.horizon,
-                    request.faults_json,
-                    request.backend,
-                    self.config.collect,
-                ),
-                f"service:{job.status.result_key[:12]}",
-                self.config.retry,
-                self.config.chaos,
-                self.telemetry,
-            )
-        except Exception as error:
+    async def _fail(self, jobs: List[_Job], error: Exception) -> None:
+        """Fail *jobs* with *error*, settling each one."""
+        for job in jobs:
             job.status.state = "failed"
             job.status.detail = repr(error)
             job.status.finished_at = time.time()
             self.telemetry.inc("service.jobs_failed")
             await job.emit("failed", error=repr(error))
-            await self._settle(job)
-            return
-        job.status.attempts = timing.attempts
-        self.cache.put(job.status.result_key, payload)
-        job.result = JobResult(
-            job_id=job.status.job_id,
-            result_key=job.status.result_key,
-            cached=False,
-            payload=payload,
-        )
-        job.status.state = "done"
-        job.status.finished_at = time.time()
-        self.telemetry.inc("service.jobs_completed")
-        self.telemetry.observe("service.job_seconds", timing.seconds)
-        await job.emit(
-            "done", attempts=timing.attempts, seconds=round(timing.seconds, 6)
-        )
-        await self._settle(job)
-
-    async def _execute_batch(self, batch: List[_Job]) -> None:
-        """Run window-coalesced vec jobs as ONE fleet batch.
-
-        One :func:`run_fleet_batch` call on the pool; the per-job
-        payloads it splits out are byte-identical to solo execution, so
-        each job completes exactly as if it had run alone.
-        """
-        from repro.experiments.plan import CampaignJob, run_fleet_batch
-
-        for job in batch:
-            job.status.state = "running"
-            await job.emit("running", batched=len(batch))
-        campaign = tuple(
-            CampaignJob.from_request(job.request) for job in batch
-        )
-        try:
-            payloads, timing = await asyncio.to_thread(
-                self.pool.run_task,
-                run_fleet_batch,
-                (campaign, self.config.collect),
-                f"service:batch:{len(batch)}",
-                self.config.retry,
-                self.config.chaos,
-                self.telemetry,
-            )
-        except Exception as error:
-            for job in batch:
-                job.status.state = "failed"
-                job.status.detail = repr(error)
-                job.status.finished_at = time.time()
-                self.telemetry.inc("service.jobs_failed")
-                await job.emit("failed", error=repr(error))
-                await self._settle(job)
-            return
-        self.telemetry.inc("service.jobs_batched", len(batch))
-        self.telemetry.observe("service.job_seconds", timing.seconds)
-        for job, payload in zip(batch, payloads):
-            job.status.attempts = timing.attempts
-            self.cache.put(job.status.result_key, payload)
-            job.result = JobResult(
-                job_id=job.status.job_id,
-                result_key=job.status.result_key,
-                cached=False,
-                payload=payload,
-            )
-            job.status.state = "done"
-            job.status.finished_at = time.time()
-            self.telemetry.inc("service.jobs_completed")
-            await job.emit(
-                "done", attempts=timing.attempts, batched=len(batch)
-            )
             await self._settle(job)
 
     async def _settle(self, job: _Job) -> None:
@@ -659,9 +623,7 @@ class ServiceApp:
             submitted_at=time.time(),
         )
         job = _Job(request=request, status=status, changed=asyncio.Condition())
-        cached = self.cache.get(key)
-        if not (isinstance(cached, dict) and "summary" in cached):
-            cached = None  # foreign/stale payload shapes count as misses
+        cached = cached_payload(self.cache, key)
         if cached is not None:
             # Served entirely at the edge: the worker pool is untouched.
             status.state = "done"

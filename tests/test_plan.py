@@ -249,6 +249,22 @@ class TestExecutePlan:
         assert len(parsed) == 6
         assert result.keys == [job_result_key(job) for job in jobs]
 
+    def test_request_key_parses_once(self, monkeypatch):
+        import repro.spec
+        from repro.service.jobs import JobRequest
+
+        parsed = []
+        real = repro.spec.load_scenario
+
+        def counting(text):
+            parsed.append(text)
+            return real(text)
+
+        request = JobRequest(scenario_json=_scenario_json(), backend="vec")
+        monkeypatch.setattr(repro.spec, "load_scenario", counting)
+        request.result_key()
+        assert len(parsed) == 1
+
     def test_cached_payloads_serve_the_service_guard(self, tmp_cache):
         # The service accepts a cached payload only if it looks like a
         # job result; planner payloads must pass that shape check.

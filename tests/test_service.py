@@ -409,6 +409,73 @@ class TestServiceApp:
         with pytest.raises(ConfigurationError):
             ServiceConfig(queue_limit=0)
 
+    def test_failed_cache_put_keeps_the_worker_alive(self, tmp_path):
+        async def body(app):
+            real_put = app.cache.put
+            calls = []
+
+            def put_once_failing(key, payload):
+                calls.append(key)
+                if len(calls) == 1:
+                    raise OSError(28, "No space left on device")
+                return real_put(key, payload)
+
+            app.cache.put = put_once_failing
+            _, _, first = await submit(app, scenario_dict())
+            first_id = json.loads(first)["job_id"]
+            final = await wait_done(app, first_id, timeout=20.0)
+            assert final["state"] == "done"
+            status, _, payload = await asgi_request(
+                app, "GET", f"/v1/jobs/{first_id}/result"
+            )
+            assert status == 200
+            computed = json.loads(payload)["result"]
+            counter = app.telemetry.metrics.counter("service.cache_put_errors")
+            assert counter.value == 1
+            # Uncached, so an identical resubmit computes again — and
+            # settles instead of attaching to a stranded leader.
+            _, _, again = await submit(app, scenario_dict())
+            again_id = json.loads(again)["job_id"]
+            assert (await wait_done(app, again_id, timeout=20.0))["state"] == "done"
+            status, _, payload = await asgi_request(
+                app, "GET", f"/v1/jobs/{again_id}/result"
+            )
+            assert json.loads(payload)["result"] == computed
+            # The single worker still serves fresh work.
+            _, _, fresh = await submit(app, scenario_dict(seed=9))
+            fresh_id = json.loads(fresh)["job_id"]
+            assert (await wait_done(app, fresh_id, timeout=20.0))["state"] == "done"
+
+        run_app(body, ServiceConfig(jobs=1, cache_dir=tmp_path / "cache"))
+
+    def test_unexpected_error_fails_the_group_not_the_worker(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.service.app as app_module
+
+        real_plan = app_module.plan_campaign
+        calls = []
+
+        def plan_once_failing(jobs, telemetry=None):
+            calls.append(len(jobs))
+            if len(calls) == 1:
+                raise RuntimeError("planner exploded")
+            return real_plan(jobs, telemetry=telemetry)
+
+        monkeypatch.setattr(app_module, "plan_campaign", plan_once_failing)
+
+        async def body(app):
+            _, _, first = await submit(app, scenario_dict())
+            final = await wait_done(app, json.loads(first)["job_id"], timeout=20.0)
+            assert final["state"] == "failed"
+            assert "planner exploded" in final["detail"]
+            # The key is released and the single worker is still alive.
+            _, _, again = await submit(app, scenario_dict())
+            final = await wait_done(app, json.loads(again)["job_id"], timeout=20.0)
+            assert final["state"] == "done"
+
+        run_app(body, ServiceConfig(jobs=1, cache_dir=tmp_path / "cache"))
+
 
 # ---------------------------------------------------------------------------
 # Job store TTL / eviction
@@ -504,7 +571,7 @@ class TestCoalescing:
                 assert counter.value == 1
                 assert app._queue.qsize() == 1  # only the leader queued
 
-                await app._execute(await app._queue.get())
+                await app._execute([await app._queue.get()])
                 # One task ran; both jobs settled with the same payload.
                 assert app.pool.tasks_run == 1
                 results = []
@@ -539,7 +606,7 @@ class TestCoalescing:
             try:
                 _, _, first = await submit(app, scenario_dict())
                 _, _, second = await submit(app, scenario_dict())
-                await app._execute(await app._queue.get())
+                await app._execute([await app._queue.get()])
                 for payload in (first, second):
                     job_id = json.loads(payload)["job_id"]
                     assert app.jobs[job_id].status.state == "failed"
@@ -583,33 +650,48 @@ class TestVecJobs:
 
         run_app(body, ServiceConfig(jobs=1, cache_dir=tmp_path / "cache"))
 
-    def test_group_batch_partitions_by_backend_and_horizon(self, tmp_path):
-        from repro.service.app import _Job
-        from repro.service.jobs import JobStatus
+    def test_window_partitions_by_backend_and_horizon(self, tmp_path):
+        from repro.service.runner import run_scenario_job
 
         async def main():
             app = ServiceApp(
-                ServiceConfig(jobs=1, cache_dir=tmp_path / "cache")
-            )
-            try:
-                def make(job_id, payload):
-                    request = JobRequest.from_payload(payload)
-                    return _Job(
-                        request=request,
-                        status=JobStatus(
-                            job_id=job_id, result_key=request.result_key()
-                        ),
-                        changed=asyncio.Condition(),
-                    )
-
-                vec_a = make("job-a", vec_payload(seed=1))
-                vec_b = make("job-b", vec_payload(seed=2))
-                scalar = make("job-c", {"scenario": scenario_dict(seed=3)})
-                vec_other = make(
-                    "job-d", vec_payload(seed=4, horizon=60.0)
+                ServiceConfig(
+                    jobs=1, cache_dir=tmp_path / "cache", batch_window=0.25
                 )
-                batches = app._group_batch([vec_a, scalar, vec_b, vec_other])
-                assert batches == [[vec_a, vec_b], [scalar], [vec_other]]
+            )
+            app._queue = asyncio.Queue(maxsize=8)  # no workers: manual drain
+            try:
+                ids = []
+                for payload in (
+                    vec_payload(seed=1),
+                    {"scenario": scenario_dict(seed=3)},
+                    vec_payload(seed=2),
+                    vec_payload(seed=4, horizon=60.0),
+                ):
+                    _, _, body = await submit(app, payload)
+                    ids.append(json.loads(body)["job_id"])
+                group = [app._queue.get_nowait() for _ in ids]
+                await app._execute(group)
+
+                def counter(name):
+                    return app.telemetry.metrics.counter(name).value
+
+                # The h30 vec pair shares one launch; the h60 vec job is
+                # a cohort of its own; the scalar job is a straggler.
+                assert counter("service.jobs_batched") == 2
+                assert counter("plan.cohorts") == 2
+                assert counter("plan.straggler_jobs") == 1
+                assert app.pool.tasks_run == 3
+                for job_id in ids:
+                    request = app.jobs[job_id].request
+                    solo = run_scenario_job(
+                        request.scenario_json,
+                        horizon=request.horizon,
+                        backend=request.backend,
+                        collect=True,
+                    )
+                    assert app.jobs[job_id].status.state == "done"
+                    assert app.jobs[job_id].result.payload == solo
             finally:
                 app.pool.shutdown()
 
