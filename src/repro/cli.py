@@ -16,7 +16,7 @@ appears::
     python -m repro.cli trace info env.rtrc
     python -m repro.cli trace replay env.rtrc --at 0 30min 1h
     python -m repro.cli experiment fig08 --scale 0.2
-    python -m repro.cli experiment all --scale 0.5 --metrics-out m.jsonl
+    python -m repro.cli run-all --scale 0.5 --metrics-out m.jsonl
     python -m repro.cli run-all --resume            # continue after a kill
     python -m repro.cli campaign report .repro-cache/campaign.ckpt
     python -m repro.cli serve --port 8787 --jobs 4
@@ -24,13 +24,13 @@ appears::
 
 ``run-app`` executes one evaluation application on one power system;
 ``run`` does the same from a declarative scenario JSON file
-(:mod:`repro.spec`); ``experiment`` regenerates a paper figure;
-``serve`` boots the long-lived job service (:mod:`repro.service`) and
-``submit`` sends a scenario to one — printing the byte-identical
-summary a local ``run --spec`` would; ``info`` reports the API version
-and per-backend capability matrix (absorbing the older ``vec-info`` and
-``spec check`` spellings, which still work with a deprecation notice);
-``spec dump`` prints the scenario an app or experiment declares;
+(:mod:`repro.spec`); ``experiment`` regenerates a paper figure and
+``run-all`` the whole campaign; ``serve`` boots the long-lived job
+service (:mod:`repro.service`) and ``submit`` sends a scenario to one —
+printing the byte-identical summary a local ``run --spec`` would;
+``info`` reports the API version and per-backend capability matrix, and
+``info --check`` validates scenario files; ``spec dump`` prints the
+scenario an app or experiment declares;
 ``trace record``/``info``/``replay`` sample synthetic environments into
 checksummed trace files (:mod:`repro.traces`), verify them, and read
 them back — a recorded file slots into any scenario as a
@@ -40,7 +40,7 @@ everything.
 ``--metrics-out``/``--trace-out`` opt any run into the observability
 layer and dump canonical JSONL.  ``--inject faults.json`` arms a
 :mod:`repro.faults` schedule: simulation faults for single runs,
-``worker_crash`` campaign chaos for ``experiment all`` and ``serve``.
+``worker_crash`` campaign chaos for ``run-all`` and ``serve``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ import argparse
 import contextlib
 import json
 import sys
-import warnings
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
@@ -77,25 +76,6 @@ _SYSTEM_BY_NAME = {kind.value: kind for kind in SystemKind}
 
 #: Default URL `submit` talks to (the `serve` default port).
 DEFAULT_SERVICE_URL = "http://127.0.0.1:8787"
-
-
-def _experiment_names() -> List[str]:
-    """Registered experiment ids plus the ``all`` suite pseudo-name."""
-    from repro.experiments.registry import REGISTRY
-
-    return REGISTRY.ids() + ["all"]
-
-
-def __getattr__(name: str):
-    if name == "EXPERIMENT_MODULES":
-        warnings.warn(
-            "repro.cli.EXPERIMENT_MODULES is replaced by the experiment "
-            "registry (repro.experiments.registry.REGISTRY.ids())",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _experiment_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +193,7 @@ def _load_inject(args: argparse.Namespace):
     file is missing or invalid — injection mistakes are user input
     errors, not crashes.
     """
-    if getattr(args, "inject", None) is None:
+    if args.inject is None:
         return None
     from repro.errors import SpecError
     from repro.faults import load_fault_schedule
@@ -241,7 +221,7 @@ def _cmd_list(_: argparse.Namespace) -> int:
     print("experiments (experiment):")
     for exp in REGISTRY.all():
         print(f"  {exp.job_id:18s} {exp.title}")
-    print(f"  {'all':18s} the full evaluation suite (run_all)")
+    print("campaign (run-all): the full evaluation suite")
     return 0
 
 
@@ -383,7 +363,7 @@ def _scenario_for_name(name: str, seed: int, scale: float) -> List:
 
 
 def _check_spec_files(files: List[str], backend: str) -> int:
-    """Validate scenario files (shared by `info --check` / `spec check`)."""
+    """Validate scenario files for ``info --check``."""
     from repro.errors import SpecError
     from repro.spec import load_scenario, spec_hash
 
@@ -412,53 +392,45 @@ def _check_spec_files(files: List[str], backend: str) -> int:
 
 
 def _cmd_spec(args: argparse.Namespace) -> int:
+    """``spec dump``: print the scenarios an app or experiment declares."""
     from repro.errors import SpecError
     from repro.spec import dump_scenario
 
-    if args.spec_command == "dump":
-        try:
-            scenarios = _scenario_for_name(args.name, args.seed, args.scale)
-        except SpecError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        if args.index is not None:
-            if not 0 <= args.index < len(scenarios):
-                print(
-                    f"error: --index {args.index} out of range "
-                    f"(0..{len(scenarios) - 1})",
-                    file=sys.stderr,
-                )
-                return 2
-            scenarios = [scenarios[args.index]]
-        if len(scenarios) == 1:
-            text = dump_scenario(scenarios[0])
-        else:
-            text = (
-                json.dumps(
-                    [scenario.to_dict() for scenario in scenarios],
-                    sort_keys=True,
-                    indent=2,
-                )
-                + "\n"
+    try:
+        scenarios = _scenario_for_name(args.name, args.seed, args.scale)
+    except SpecError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    if args.index is not None:
+        if not 0 <= args.index < len(scenarios):
+            print(
+                f"error: --index {args.index} out of range "
+                f"(0..{len(scenarios) - 1})",
+                file=sys.stderr,
             )
-        if args.out is not None:
-            Path(args.out).write_text(text)
-            print(f"wrote {args.out}")
-        else:
-            print(text, end="")
-        return 0
-
-    # spec check (deprecated spelling of `repro info --check`)
-    print(
-        "note: `repro spec check` is deprecated; use "
-        "`repro info --check FILE... [--backend vec]`",
-        file=sys.stderr,
-    )
-    return _check_spec_files(args.files, getattr(args, "backend", "scalar"))
+            return 2
+        scenarios = [scenarios[args.index]]
+    if len(scenarios) == 1:
+        text = dump_scenario(scenarios[0])
+    else:
+        text = (
+            json.dumps(
+                [scenario.to_dict() for scenario in scenarios],
+                sort_keys=True,
+                indent=2,
+            )
+            + "\n"
+        )
+    if args.out is not None:
+        Path(args.out).write_text(text)
+        print(f"wrote {args.out}")
+    else:
+        print(text, end="")
+    return 0
 
 
 def _print_backend_matrix() -> None:
-    """The per-backend capability matrix `info` and `vec-info` print."""
+    """The per-backend capability matrix `info` prints."""
     print(
         "backends:\n"
         "  scalar     full simulation engine: every app, experiment, "
@@ -490,10 +462,10 @@ def _print_backend_matrix() -> None:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    """Version, API generation, backend matrix, optional spec checks."""
+    """Version, API generation, backend matrix; or ``--check`` FILE..."""
     import repro
 
-    if getattr(args, "check", None):
+    if args.check:
         return _check_spec_files(args.check, args.backend)
     print(f"repro {repro.__version__} — public API {repro.__api_version__}")
     _print_backend_matrix()
@@ -513,16 +485,6 @@ def _print_trace_info() -> None:
         f"environment traces: kinds {kinds}; file format "
         f"v{TRACE_FORMAT_VERSION} (repro trace record|replay|info)"
     )
-
-
-def _cmd_vec_info(args: argparse.Namespace) -> int:
-    """Deprecated spelling of ``repro info``."""
-    print(
-        "note: `repro vec-info` is deprecated; use `repro info`",
-        file=sys.stderr,
-    )
-    print("harvesters, systems and the rest of the vec feature matrix:")
-    return _cmd_info(args)
 
 
 # ---------------------------------------------------------------------------
@@ -669,30 +631,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    name = args.name
-    if name == "all":
-        from repro.experiments import run_all
-
-        from repro.errors import ConfigurationError
-
-        try:
-            run_all.main(
-                seed=args.seed,
-                scale=args.scale,
-                jobs=1 if args.serial else args.jobs,
-                use_cache=not args.no_cache,
-                clear_cache=args.clear_cache,
-                metrics_out=args.metrics_out,
-                trace_out=args.trace_out,
-                inject=Path(args.inject) if args.inject is not None else None,
-                backend=args.backend,
-                resume=getattr(args, "resume", False),
-            )
-        except ConfigurationError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        return 0
-
     from repro.errors import ConfigurationError
     from repro.experiments.registry import run_experiment
     from repro.observability.telemetry import Telemetry
@@ -700,7 +638,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     telemetry = Telemetry() if _wants_telemetry(args) else None
     try:
         text = run_experiment(
-            name,
+            args.name,
             seed=args.seed,
             scale=args.scale,
             telemetry=telemetry,
@@ -711,19 +649,38 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         return 2
     print(text, end="" if text.endswith("\n") else "\n")
     if telemetry is not None:
-        _dump_telemetry(telemetry, scope=name, args=args)
+        _dump_telemetry(telemetry, scope=args.name, args=args)
     return 0
 
 
 def _cmd_run_all(args: argparse.Namespace) -> int:
-    """``repro run-all``: the experiment campaign as a first-class verb.
+    """``repro run-all``: the whole experiment campaign.
 
-    Identical to ``repro experiment all``; with ``--backend vec`` the
-    campaign's vec-routable experiments run through the batching
-    planner (:mod:`repro.experiments.plan`).
+    The one front end of :func:`repro.experiments.run_all.main` (the
+    ``python -m repro.experiments.run_all`` spelling delegates here);
+    with ``--backend vec`` the campaign's vec-routable experiments run
+    through the batching planner (:mod:`repro.experiments.plan`).
     """
-    args.name = "all"
-    return _cmd_experiment(args)
+    from repro.errors import ConfigurationError
+    from repro.experiments import run_all
+
+    try:
+        run_all.main(
+            seed=args.seed,
+            scale=args.scale,
+            jobs=1 if args.serial else args.jobs,
+            use_cache=not args.no_cache,
+            clear_cache=args.clear_cache,
+            metrics_out=args.metrics_out,
+            trace_out=args.trace_out,
+            inject=Path(args.inject) if args.inject is not None else None,
+            backend=args.backend,
+            resume=args.resume,
+        )
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -982,20 +939,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write to FILE instead of stdout",
     )
     dump_parser.set_defaults(func=_cmd_spec)
-    check_parser = spec_sub.add_parser(
-        "check",
-        parents=[_backend_parent("also require support by this backend")],
-        help="validate scenario JSON files (deprecated: repro info --check)",
-    )
-    check_parser.add_argument("files", nargs="+", metavar="FILE")
-    check_parser.set_defaults(func=_cmd_spec)
-
-    vec_info_parser = sub.add_parser(
-        "vec-info",
-        parents=[_backend_parent("ignored (kept for flag compatibility)")],
-        help="deprecated: use `repro info`",
-    )
-    vec_info_parser.set_defaults(func=_cmd_vec_info, check=None)
 
     trace_parser = sub.add_parser(
         "trace", help="record, inspect, and replay environment traces"
@@ -1061,43 +1004,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_replay.set_defaults(func=_cmd_trace)
 
+    from repro.experiments.registry import REGISTRY
+
     exp_parser = sub.add_parser(
         "experiment",
         parents=[
-            _inject_parent(
-                "fault schedule JSON; `all` injects its worker_crash "
-                "faults as campaign chaos"
-            ),
             _backend_parent(
                 "simulation engine for backend-routable experiments "
                 "(fig03, fig04, ablation, power-sweep, fleet; see "
                 "`repro info`)"
             ),
-            _jobs_parent("worker processes for `all`, >= 1"),
             telemetry_parent,
         ],
-        help="regenerate a paper figure",
+        help="regenerate a paper figure (run-all runs the whole suite)",
     )
-    exp_parser.add_argument("name", choices=_experiment_names())
+    exp_parser.add_argument("name", choices=REGISTRY.ids())
     exp_parser.add_argument("--seed", type=int, default=0)
     exp_parser.add_argument("--scale", type=float, default=0.25)
-    exp_parser.add_argument(
-        "--serial", action="store_true",
-        help="force single-process execution for `all`",
-    )
-    exp_parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the result cache for `all`",
-    )
-    exp_parser.add_argument(
-        "--clear-cache", action="store_true",
-        help="drop cached `all` results before running",
-    )
-    exp_parser.add_argument(
-        "--resume", action="store_true",
-        help="for `all`: skip tasks the campaign checkpoint records as "
-        "complete (requires the cache)",
-    )
     exp_parser.set_defaults(func=_cmd_experiment)
 
     run_all_parser = sub.add_parser(
@@ -1114,7 +1037,7 @@ def build_parser() -> argparse.ArgumentParser:
             _jobs_parent("worker processes, >= 1"),
             telemetry_parent,
         ],
-        help="run the whole experiment campaign (alias of `experiment all`)",
+        help="run the whole experiment campaign",
     )
     run_all_parser.add_argument("--seed", type=int, default=0)
     run_all_parser.add_argument("--scale", type=float, default=0.25)

@@ -336,7 +336,7 @@ def main(backend: str = "scalar") -> None:
     print()
     # The polarity study runs full intermittent-app simulations with a
     # time-varying (piecewise) harvester — scalar-engine territory on
-    # every backend (see `repro vec-info`).
+    # every backend (see `repro info`).
     print_result(polarity_ablation())
 
 

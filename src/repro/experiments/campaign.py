@@ -2,14 +2,15 @@
 
 The paper's Sections 6.2-6.4 all reuse the same runs — every
 application executed under Pwr / Fixed / Capy-R / Capy-P on an
-identical event schedule.  :func:`run_campaign` produces that bundle;
+identical event schedule.  A :class:`Campaign` holds that bundle
+(:func:`~repro.experiments.parallel.run_campaign_parallel` produces it);
 figure modules project different metrics out of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict
 
 from repro.apps.base import AppInstance
 from repro.core.builder import SystemKind
@@ -41,23 +42,3 @@ class Campaign:
         """The continuously-powered reference board."""
         return self.instances[SystemKind.CONTINUOUS]
 
-
-def run_campaign(
-    builder: AppBuilder,
-    horizon: float,
-    kinds: Optional[List[SystemKind]] = None,
-) -> Campaign:
-    """Build and run one app under each system kind.
-
-    *builder* must embed the seed/schedule so every kind replays the
-    same ground truth (the app ``build_*`` functions already do).
-    """
-    kinds = kinds if kinds is not None else list(DEFAULT_KINDS)
-    instances: Dict[SystemKind, AppInstance] = {}
-    app_name = ""
-    for kind in kinds:
-        instance = builder(kind)
-        instance.run(horizon)
-        instances[kind] = instance
-        app_name = instance.name
-    return Campaign(app_name=app_name, instances=instances, horizon=horizon)

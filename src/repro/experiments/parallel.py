@@ -540,14 +540,14 @@ def run_campaign_parallel(
     jobs: Optional[int] = None,
     report: Optional[ParallelReport] = None,
 ) -> Campaign:
-    """:func:`~repro.experiments.campaign.run_campaign`, fanned out.
+    """Run one app under each system kind, fanned out.
 
     Each :class:`SystemKind` runs in its own worker process; the parent
     rebuilds the (cheap, un-run) instances locally and attaches the
     workers' traces, so the returned :class:`Campaign` is drop-in
     compatible with every metric helper.  *builder* must embed the
-    seed/schedule, exactly as the serial contract requires — that is
-    also what makes worker runs bit-identical to serial ones.
+    seed/schedule so every kind replays the same ground truth — that is
+    also what makes worker runs bit-identical to in-process ones.
 
     Builders that cannot be pickled (closures over rigs, lambdas) run
     serially in-process with identical results.  Spec-backed builders

@@ -53,9 +53,7 @@ __all__ = [
     "Straggler",
     "CampaignPlan",
     "PlanResult",
-    "DagPlanResult",
     "cached_payload",
-    "execute_campaign_dag",
     "job_result_key",
     "format_fleet_summary",
     "run_fleet_batch",
@@ -95,10 +93,6 @@ class CampaignJob:
     power_scale: float = 1.0
     load_power: Optional[float] = None
     initial_voltage: float = 0.0
-    #: Labels of jobs that must complete before this one dispatches.
-    #: Scheduling metadata only — it never joins :func:`job_result_key`,
-    #: so declaring dependencies cannot invalidate cached results.
-    after: Tuple[str, ...] = ()
 
     @classmethod
     def from_request(cls, request, label: str = "request") -> "CampaignJob":
@@ -114,7 +108,6 @@ class CampaignJob:
             horizon=request.horizon,
             faults_json=request.faults_json,
             backend=request.backend,
-            after=tuple(request.after),
         )
 
     @property
@@ -682,106 +675,3 @@ def execute_plan(
             )
     return PlanResult(results=results, keys=keys, cached=cached, plan=plan)
 
-
-# ---------------------------------------------------------------------------
-# Dependency-aware execution
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DagPlanResult:
-    """Per-job outcomes of a dependency-aware campaign, in job order.
-
-    Shaped like :class:`PlanResult` (``results``/``keys``/``cached``
-    aligned with the input jobs) plus the per-level plans actually
-    executed — vec cohorts still batch *within* a level, which is the
-    planner's whole point surviving the scheduling constraint.
-    """
-
-    results: List[Any]
-    keys: List[str]
-    cached: List[bool]
-    levels: List[PlanResult]
-
-
-def execute_campaign_dag(
-    campaign_jobs: Sequence[CampaignJob],
-    cache=None,
-    pool=None,
-    jobs: Optional[int] = None,
-    retry=None,
-    chaos=None,
-    on_error: str = "capture",
-    telemetry: Optional[Telemetry] = None,
-    collect: bool = False,
-    shard_size: Optional[int] = None,
-) -> DagPlanResult:
-    """Execute jobs whose ``after`` edges form a dependency DAG.
-
-    Validates the graph (duplicate labels, unknown predecessors, cycles
-    raise :class:`~repro.errors.DagError`), then walks it level by
-    level: each level is planned with :func:`plan_campaign` — so
-    vec-compatible members of one level still coalesce into fleet
-    batches — and executed with :func:`execute_plan` under the same
-    cache/retry/chaos contract.  A job whose predecessor failed (or was
-    itself blocked) is never dispatched; its result slot holds a
-    :class:`~repro.experiments.parallel.TaskError` with ``attempts=0``,
-    matching :func:`repro.experiments.dag.run_dag`'s blocked marker.
-    """
-    from repro.experiments.dag import CampaignDag
-    from repro.experiments.parallel import TaskError
-
-    dag = CampaignDag([(job.label, job.after) for job in campaign_jobs])
-    index_of = {job.label: i for i, job in enumerate(campaign_jobs)}
-    total = len(campaign_jobs)
-    results: List[Any] = [None] * total
-    keys: List[str] = [""] * total
-    cached: List[bool] = [False] * total
-    level_results: List[PlanResult] = []
-    failed: set = set()
-
-    for level in dag.levels():
-        runnable: List[str] = []
-        for label in level:
-            bad = [pred for pred in dag.predecessors(label) if pred in failed]
-            if bad:
-                failed.add(label)
-                results[index_of[label]] = TaskError(
-                    label=label,
-                    error=f"blocked: predecessor {bad[0]!r} failed",
-                    attempts=0,
-                )
-                keys[index_of[label]] = job_result_key(campaign_jobs[index_of[label]])
-                if telemetry is not None and telemetry.enabled:
-                    telemetry.inc("campaign.blocked")
-                continue
-            runnable.append(label)
-        if not runnable:
-            continue
-        subset = [campaign_jobs[index_of[label]] for label in runnable]
-        plan = plan_campaign(subset, telemetry=telemetry)
-        result = execute_plan(
-            plan,
-            cache=cache,
-            pool=pool,
-            jobs=jobs,
-            retry=retry,
-            chaos=chaos,
-            on_error=on_error,
-            telemetry=telemetry,
-            collect=collect,
-            shard_size=shard_size,
-        )
-        level_results.append(result)
-        for label, payload, key, hit in zip(
-            runnable, result.results, result.keys, result.cached
-        ):
-            index = index_of[label]
-            results[index] = payload
-            keys[index] = key
-            cached[index] = hit
-            if isinstance(payload, TaskError):
-                failed.add(label)
-    return DagPlanResult(
-        results=results, keys=keys, cached=cached, levels=level_results
-    )

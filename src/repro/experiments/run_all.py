@@ -47,15 +47,15 @@ the same analysis from a checkpoint file alone.
 
 Run: ``python -m repro.experiments.run_all [--scale S] [--seed N]
 [--jobs J | --serial] [--no-cache] [--clear-cache] [--resume]
-[--inject faults.json]
-[--metrics-out metrics.jsonl] [--trace-out trace.jsonl]``
+[--inject faults.json] [--backend vec]
+[--metrics-out metrics.jsonl] [--trace-out trace.jsonl]`` — the same
+parser as ``repro run-all``, but at paper scale (``--scale 1.0``) by
+default.
 """
 
 from __future__ import annotations
 
-import argparse
 import time
-import warnings
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -532,95 +532,11 @@ def _emit_telemetry(
     )
 
 
-# ---------------------------------------------------------------------------
-# Deprecated aliases (pre-registry API)
-# ---------------------------------------------------------------------------
-
-def __getattr__(name: str):
-    if name == "ExperimentJob":
-        warnings.warn(
-            "repro.experiments.run_all.ExperimentJob moved to "
-            "repro.experiments.registry.Experiment",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return Experiment
-    if name == "EXPERIMENT_JOBS":
-        warnings.warn(
-            "repro.experiments.run_all.EXPERIMENT_JOBS is replaced by the "
-            "experiment registry (repro.experiments.registry.REGISTRY.suite())",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _REGISTRY.suite()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _writable_path(text: str) -> Path:
-    path = Path(text)
-    if not path.parent.is_dir():
-        raise argparse.ArgumentTypeError(
-            f"directory {path.parent} does not exist"
-        )
-    return path
-
-
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--scale", type=float, default=1.0)
-    parser.add_argument(
-        "--jobs", type=_positive_int, default=None,
-        help="worker processes, >= 1 (default: REPRO_JOBS or CPU count)",
-    )
-    parser.add_argument(
-        "--serial", action="store_true", help="force single-process execution"
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    parser.add_argument(
-        "--clear-cache", action="store_true", help="drop cached results first"
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="skip tasks the campaign checkpoint records as complete",
-    )
-    parser.add_argument(
-        "--inject", type=Path, default=None, metavar="FILE",
-        help="fault schedule JSON (repro.faults); worker_crash faults "
-        "inject deterministic chaos into the pool",
-    )
-    parser.add_argument(
-        "--backend", choices=["scalar", "vec"], default="scalar",
-        help="engine for the grid-shaped experiments (fig03, fig04, "
-        "ablation, power-sweep)",
-    )
-    parser.add_argument(
-        "--metrics-out", type=_writable_path, default=None, metavar="FILE",
-        help="write suite + per-experiment metrics as JSONL to FILE",
-    )
-    parser.add_argument(
-        "--trace-out", type=_writable_path, default=None, metavar="FILE",
-        help="write per-experiment trace records as JSONL to FILE",
-    )
-    arguments = parser.parse_args()
-    main(
-        seed=arguments.seed,
-        scale=arguments.scale,
-        jobs=1 if arguments.serial else arguments.jobs,
-        use_cache=not arguments.no_cache,
-        clear_cache=arguments.clear_cache,
-        metrics_out=arguments.metrics_out,
-        trace_out=arguments.trace_out,
-        inject=arguments.inject,
-        backend=arguments.backend,
-        resume=arguments.resume,
-    )
+    import sys
+
+    from repro.cli import main as cli_main
+
+    # One parser for both spellings: this is `repro run-all` at paper
+    # scale, and a --scale given on the command line still wins.
+    sys.exit(cli_main(["run-all", "--scale", "1.0", *sys.argv[1:]]))

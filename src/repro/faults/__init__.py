@@ -24,7 +24,7 @@ Typical use::
 or, from the command line::
 
     python -m repro.cli run --spec scenario.json --inject faults.json
-    python -m repro.cli experiment all --inject faults.json
+    python -m repro.cli run-all --inject faults.json
 """
 
 from repro.faults.model import (

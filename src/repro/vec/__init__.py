@@ -19,7 +19,7 @@ Public names:
 * :func:`~repro.vec.batch.check_scenario`,
   :func:`~repro.vec.batch.ensure_supported`,
   :func:`~repro.vec.batch.vec_capabilities` — capability layer
-  (`repro vec-info`, `repro spec check --backend vec`).
+  (`repro info`, `repro info --check FILE... --backend vec`).
 * :func:`~repro.vec.batch.compile_operating_segments`,
   :func:`~repro.vec.batch.harvester_change_times` — piecewise-constant
   trace compilation for segment-driven batches

@@ -95,7 +95,7 @@ def _is_piecewise_constant(trace) -> bool:
 
 
 def vec_capabilities() -> dict:
-    """The feature matrix `repro vec-info` prints, as plain data."""
+    """The feature matrix `repro info` prints, as plain data."""
     return {
         "backend": "vec",
         "harvesters": {
@@ -200,7 +200,7 @@ def ensure_supported(scenario: ScenarioSpec, fault_schedule=None) -> None:
         raise VecCapabilityError(
             f"scenario {scenario.name!r} is not supported by the vec "
             f"backend: {listing}. Use the scalar engine, or see `repro "
-            f"vec-info` for the supported feature set."
+            f"info` for the supported feature set."
         )
 
 

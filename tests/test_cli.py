@@ -1,8 +1,16 @@
 """Command-line interface."""
 
 import json
+import os
+import runpy
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.cli import APP_BUILDERS, build_parser, main
 
@@ -24,6 +32,9 @@ class TestParser:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
+        # The campaign is `run-all`; `all` is not an experiment name.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["experiment", "all"])
 
     def test_command_required(self):
         with pytest.raises(SystemExit):
@@ -33,14 +44,14 @@ class TestParser:
 class TestArgValidation:
     def test_jobs_zero_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "all", "--jobs", "0"])
+            build_parser().parse_args(["run-all", "--jobs", "0"])
 
     def test_jobs_negative_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "all", "--jobs", "-2"])
+            build_parser().parse_args(["run-all", "--jobs", "-2"])
 
     def test_jobs_positive_accepted(self):
-        args = build_parser().parse_args(["experiment", "all", "--jobs", "3"])
+        args = build_parser().parse_args(["run-all", "--jobs", "3"])
         assert args.jobs == 3
 
     def test_metrics_out_missing_directory_rejected(self):
@@ -235,20 +246,24 @@ class TestUnifiedVerbs:
         assert repro.__api_version__ in out
         assert "scalar" in out
 
-    def test_vec_info_still_works_with_notice(self, capsys):
-        assert main(["vec-info"]) == 0
-        captured = capsys.readouterr()
-        assert "harvesters" in captured.out
-        assert "deprecated" in captured.err
+    def test_vec_info_verb_removed(self, capsys):
+        # `info` prints the matrix (test_info_reports_api_version,
+        # test_vec_backend.TestCli::test_vec_info_prints_matrix).
+        with pytest.raises(SystemExit) as exc:
+            main(["vec-info"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'vec-info'" in capsys.readouterr().err
 
-    def test_spec_check_still_works_with_notice(self, tmp_path, capsys):
+    def test_spec_check_verb_removed(self, tmp_path, capsys):
+        # `info --check` validates (test_info_check_validates and
+        # test_spec.py::test_cli_spec_check_passes_goldens).
         spec = tmp_path / "ok.json"
         assert main(["spec", "dump", "temp-alarm", "--out", str(spec)]) == 0
         capsys.readouterr()
-        assert main(["spec", "check", str(spec)]) == 0
-        captured = capsys.readouterr()
-        assert captured.out.startswith("ok")
-        assert "deprecated" in captured.err
+        with pytest.raises(SystemExit) as exc:
+            main(["spec", "check", str(spec)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'check'" in capsys.readouterr().err
 
     def test_info_check_validates(self, tmp_path, capsys):
         good = tmp_path / "good.json"
@@ -312,6 +327,26 @@ class TestRunAllVerb:
         assert seen["backend"] == "vec"
         assert seen["jobs"] == 1  # --serial forces one worker
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--inject", "/no/such/faults.json"],
+            ["--jobs", "3"],
+            ["--serial"],
+            ["--no-cache"],
+            ["--clear-cache"],
+            ["--resume"],
+        ],
+        ids=lambda flags: flags[0],
+    )
+    def test_campaign_flags_are_usage_errors_on_experiment(self, flags, capsys):
+        """`experiment NAME` runs one figure; campaign flags belong to
+        `run-all` and must not be accepted and then ignored."""
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "fig03", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_serve_gained_ttl_and_batch_window_flags(self):
         args = build_parser().parse_args(
             ["serve", "--job-ttl", "300", "--batch-window", "0.5"]
@@ -326,3 +361,44 @@ class TestRunAllVerb:
             ["experiment", "fleet", "--backend", "vec"]
         )
         assert args.name == "fleet" and args.backend == "vec"
+
+
+class TestRunAllModule:
+    """`python -m repro.experiments.run_all` is `repro run-all` at paper
+    scale, through the same parser."""
+
+    def test_bad_jobs_is_a_usage_error(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.run_all", "--jobs", "0"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "usage: repro run-all" in proc.stderr
+        assert "must be >= 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv,scale", [([], 1.0), (["--scale", "0.1"], 0.1)]
+    )
+    def test_defaults_to_paper_scale(self, monkeypatch, argv, scale):
+        from repro.experiments import run_all
+
+        seen = {}
+        monkeypatch.setattr(run_all, "main", lambda **kwargs: seen.update(kwargs))
+        monkeypatch.setattr(sys, "argv", ["run_all", "--serial", *argv])
+        with warnings.catch_warnings():
+            # runpy notes that the module is already imported.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SystemExit) as exc:
+                runpy.run_module("repro.experiments.run_all", run_name="__main__")
+        assert exc.value.code == 0
+        assert seen["scale"] == scale
+        assert seen["jobs"] == 1

@@ -1,6 +1,6 @@
 """Unit contract of the DAG campaign layer: graph validation, the
 dependency-aware dispatcher, checkpoint framing, and the post-run
-report — plus the planner/service faces of ``after``."""
+report — plus the registry face of ``after``."""
 
 import pytest
 
@@ -317,75 +317,6 @@ def test_report_from_state_needs_no_registry():
     assert report.critical_seconds == pytest.approx(3.0)
     with pytest.raises(CheckpointError, match="no campaign tasks"):
         report_from_state(CampaignState(campaign={}))
-
-
-# ---------------------------------------------------------------------------
-# The planner face: CampaignJob.after + execute_campaign_dag
-# ---------------------------------------------------------------------------
-
-
-def test_campaign_job_after_never_joins_the_result_key():
-    from repro.experiments.plan import CampaignJob, job_result_key
-    from repro.spec import canonical_json
-    from repro.apps import temp_alarm
-
-    scenario_json = canonical_json(temp_alarm.scenario(seed=0))
-    plain = CampaignJob(label="x", scenario_json=scenario_json)
-    ordered = CampaignJob(
-        label="x", scenario_json=scenario_json, after=("y", "z")
-    )
-    assert job_result_key(plain) == job_result_key(ordered)
-
-
-def test_execute_campaign_dag_orders_levels_and_blocks_dependents(monkeypatch):
-    from repro.experiments import plan as plan_mod
-    from repro.experiments.parallel import TaskError
-    from repro.spec import canonical_json
-    from repro.apps import temp_alarm
-
-    scenario_json = canonical_json(temp_alarm.scenario(seed=0))
-    jobs = [
-        plan_mod.CampaignJob(label="a", scenario_json=scenario_json),
-        plan_mod.CampaignJob(
-            label="b", scenario_json=scenario_json, after=("a",)
-        ),
-        plan_mod.CampaignJob(
-            label="c", scenario_json=scenario_json, after=("b",)
-        ),
-    ]
-    ran = []
-
-    def fake_run(job, collect=False):
-        ran.append(job.label)
-        if job.label == "b":
-            raise RuntimeError("boom")
-        return {"summary": f"ok:{job.label}\n"}
-
-    monkeypatch.setattr(plan_mod, "_run_campaign_job", fake_run)
-    from repro.experiments.parallel import RetryPolicy
-
-    result = plan_mod.execute_campaign_dag(
-        jobs, retry=RetryPolicy(max_attempts=1, base_delay=0.0), jobs=1
-    )
-    assert ran == ["a", "b"]  # c never dispatched
-    assert result.results[0]["summary"] == "ok:a\n"
-    assert isinstance(result.results[1], TaskError)
-    assert result.results[1].attempts == 1
-    assert isinstance(result.results[2], TaskError)
-    assert result.results[2].attempts == 0
-    assert "predecessor 'b' failed" in result.results[2].error
-
-
-def test_execute_campaign_dag_validates_edges():
-    from repro.experiments.plan import CampaignJob, execute_campaign_dag
-    from repro.spec import canonical_json
-    from repro.apps import temp_alarm
-
-    scenario_json = canonical_json(temp_alarm.scenario(seed=0))
-    with pytest.raises(DagError, match="unknown predecessor"):
-        execute_campaign_dag(
-            [CampaignJob(label="a", scenario_json=scenario_json, after=("z",))]
-        )
 
 
 # ---------------------------------------------------------------------------

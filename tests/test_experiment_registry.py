@@ -1,7 +1,5 @@
 """Experiment registry and run_all's telemetry/caching behaviour."""
 
-import warnings
-
 import pytest
 
 from repro.errors import ConfigurationError
@@ -70,20 +68,19 @@ class TestRegistry:
 
 
 class TestDeprecatedAliases:
-    def test_run_all_shims_warn(self):
+    def test_run_all_shims_removed(self):
+        """The pre-registry aliases are gone: ``Experiment`` and
+        ``REGISTRY.suite()`` are the only spellings."""
+        from repro import cli
         from repro.experiments import run_all
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            jobs = run_all.EXPERIMENT_JOBS
-            cls = run_all.ExperimentJob
-        assert cls is Experiment
-        assert [job.job_id for job in jobs] == [
-            exp.job_id for exp in REGISTRY.suite()
-        ]
-        assert all(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ) and len(caught) == 2
+        for module, legacy in (
+            (run_all, "ExperimentJob"),
+            (run_all, "EXPERIMENT_JOBS"),
+            (cli, "EXPERIMENT_MODULES"),
+        ):
+            with pytest.raises(AttributeError):
+                getattr(module, legacy)
 
     def test_top_level_shims_removed(self):
         """The v1 facade freeze dropped the pre-1.0 top-level shims.

@@ -21,7 +21,7 @@ from repro.experiments.cache import (
     code_fingerprint,
     result_key,
 )
-from repro.experiments.campaign import run_campaign
+from repro.experiments.campaign import Campaign
 from repro.experiments.parallel import (
     JOBS_ENV,
     ParallelReport,
@@ -121,14 +121,20 @@ class TestCampaignDeterminism:
     )
     def test_parallel_matches_serial(self, app, builder):
         horizon = builder(SystemKind.CONTINUOUS).schedule.horizon + 60.0
-        serial = run_campaign(builder, horizon, kinds=list(KINDS))
+        serial = {}
+        for kind in KINDS:
+            serial[kind] = builder(kind)
+            serial[kind].run(horizon)
         fanned = run_campaign_parallel(
             builder, horizon, kinds=list(KINDS), jobs=2
         )
 
-        assert _metric_dict(fanned, app) == _metric_dict(serial, app)
+        oracle = Campaign(
+            app_name=serial[KINDS[0]].name, instances=serial, horizon=horizon
+        )
+        assert _metric_dict(fanned, app) == _metric_dict(oracle, app)
         for kind in KINDS:
-            serial_trace = serial.instance(kind).trace
+            serial_trace = serial[kind].trace
             fanned_trace = fanned.instance(kind).trace
             assert fanned_trace.counters == serial_trace.counters
             # Byte-identical traces: same events, samples, packets, times.

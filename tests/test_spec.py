@@ -294,7 +294,7 @@ def test_golden_spec_is_canonical_and_buildable(path):
 def test_cli_spec_check_passes_goldens(capsys):
     from repro import cli
 
-    code = cli.main(["spec", "check"] + [str(p) for p in GOLDEN_FILES])
+    code = cli.main(["info", "--check"] + [str(p) for p in GOLDEN_FILES])
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("ok   ") == len(GOLDEN_FILES)
@@ -305,7 +305,7 @@ def test_cli_spec_check_fails_on_invalid(tmp_path, capsys):
 
     bad = tmp_path / "bad.json"
     bad.write_text('{"name": "x"}')
-    code = cli.main(["spec", "check", str(bad)])
+    code = cli.main(["info", "--check", str(bad)])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
 

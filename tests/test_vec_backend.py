@@ -67,7 +67,7 @@ class TestCapabilities:
     def test_ensure_supported_raises_listing_reasons(self):
         with pytest.raises(VecCapabilityError) as exc:
             ensure_supported(_orbit_scenario())
-        assert "vec-info" in str(exc.value)
+        assert "see `repro info`" in str(exc.value)
 
     def test_no_silent_fallback_in_build_fleet(self):
         with pytest.raises(VecCapabilityError):
@@ -117,12 +117,12 @@ class TestCli:
         spec = tmp_path / "ok.json"
         spec.write_text(dump_scenario(scenario(seed=1)))
         args = build_parser().parse_args(
-            ["spec", "check", str(spec), "--backend", "vec"]
+            ["info", "--check", str(spec), "--backend", "vec"]
         )
-        assert args.backend == "vec"
+        assert args.backend == "vec" and args.check == [str(spec)]
 
     def test_vec_info_prints_matrix(self, capsys):
-        assert cli_main(["vec-info"]) == 0
+        assert cli_main(["info"]) == 0
         out = capsys.readouterr().out
         assert "harvesters" in out
         assert "power-sweep" in out
@@ -130,12 +130,12 @@ class TestCli:
     def test_spec_check_vec_passes_supported(self, tmp_path, capsys):
         spec = tmp_path / "ok.json"
         spec.write_text(dump_scenario(scenario(seed=1)))
-        assert cli_main(["spec", "check", str(spec), "--backend", "vec"]) == 0
+        assert cli_main(["info", "--check", str(spec), "--backend", "vec"]) == 0
 
     def test_spec_check_vec_fails_unsupported(self, tmp_path, capsys):
         spec = tmp_path / "bad.json"
         spec.write_text(dump_scenario(_orbit_scenario()))
-        assert cli_main(["spec", "check", str(spec), "--backend", "vec"]) == 1
+        assert cli_main(["info", "--check", str(spec), "--backend", "vec"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
 
