@@ -364,13 +364,19 @@ class WorkerPool:
         on_error: str = "raise",
         telemetry: Optional[Telemetry] = None,
         report: Optional[ParallelReport] = None,
+        on_complete: Optional[Callable[[str, Any, TaskTiming], None]] = None,
     ) -> List[Any]:
         """Apply *fn* to each argument tuple; results in task order.
 
-        See :func:`parallel_map` for the meaning of each argument.
+        See :func:`parallel_map` for the meaning of the other arguments.
+        *on_complete* is called in this process with ``(label, result,
+        timing)`` as each task succeeds, while later tasks may still be
+        running; under ``on_error="raise"`` it has seen every task that
+        finished before the abort.
         """
         return self._dispatch(
-            fn, tasks, labels, retry, chaos, on_error, telemetry, report
+            fn, tasks, labels, retry, chaos, on_error, telemetry, report,
+            on_complete=on_complete,
         )
 
     def _dispatch(

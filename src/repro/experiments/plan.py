@@ -129,17 +129,14 @@ def job_result_key(job: CampaignJob) -> str:
     knob.  It never depends on how the job was scheduled, which is what
     makes batched and solo execution cache-compatible.
     """
-    from repro.spec import load_scenario
-
-    return _job_result_key(job, load_scenario)
+    return _job_result_key(job, _digests_once())
 
 
 def _job_result_key(
-    job: CampaignJob, parse: Callable[[str], Any]
+    job: CampaignJob, digests: Callable[[str], Tuple[str, Optional[str]]]
 ) -> str:
-    """:func:`job_result_key` with the scenario parsed by *parse*."""
+    """:func:`job_result_key` with the scenario digests from *digests*."""
     from repro.experiments.cache import result_key
-    from repro.spec import scenario_trace_hash, spec_hash
 
     params: Dict[str, Any] = {}
     if job.system is not None:
@@ -165,13 +162,13 @@ def _job_result_key(
         from repro.faults import fault_schedule_hash, load_fault_schedule
 
         fault_hash = fault_schedule_hash(load_fault_schedule(job.faults_json))
-    scenario = parse(job.scenario_json)
+    scenario_hash, trace_hash = digests(job.scenario_json)
     return result_key(
         "service.run",
         params,
-        spec_hash=spec_hash(scenario),
+        spec_hash=scenario_hash,
         fault_hash=fault_hash,
-        trace_hash=scenario_trace_hash(scenario),
+        trace_hash=trace_hash,
     )
 
 
@@ -185,6 +182,20 @@ def _parse_once() -> Callable[[str], Any]:
     from repro.spec import load_scenario
 
     return functools.lru_cache(maxsize=None)(load_scenario)
+
+
+def _digests_once() -> Callable[[str], Tuple[str, Optional[str]]]:
+    """A scenario JSON's ``(spec_hash, scenario_trace_hash)``, memoized
+    for one call like :func:`_parse_once`: each distinct text parses and
+    hashes once however many jobs share it."""
+    from repro.spec import load_scenario, scenario_trace_hash, spec_hash
+
+    @functools.lru_cache(maxsize=None)
+    def digests(scenario_json: str) -> Tuple[str, Optional[str]]:
+        scenario = load_scenario(scenario_json)
+        return spec_hash(scenario), scenario_trace_hash(scenario)
+
+    return digests
 
 
 def format_fleet_summary(
@@ -446,6 +457,22 @@ def plan_campaign(
 
     telemetry = resolve_telemetry(telemetry)
     parse = _parse_once()
+
+    # Memoized per distinct (scenario, faults) text, like the parse; a
+    # SpecError is not cached, so each job re-raises its own.
+    @functools.lru_cache(maxsize=None)
+    def verdict(
+        scenario_json: str, faults_json: Optional[str]
+    ) -> Tuple[Tuple[str, ...], str]:
+        scenario = parse(scenario_json)
+        schedule = None
+        if faults_json is not None:
+            from repro.faults import load_fault_schedule
+
+            schedule = load_fault_schedule(faults_json)
+        reasons = tuple(check_scenario(scenario, schedule))
+        return reasons, "" if reasons else scenario_trace_hash(scenario) or ""
+
     cohorts: Dict[Tuple[float, float, str], Cohort] = {}
     stragglers: List[Straggler] = []
     for index, job in enumerate(jobs):
@@ -456,16 +483,9 @@ def plan_campaign(
             )
             continue
         try:
-            scenario = parse(job.scenario_json)
-            schedule = None
-            if job.faults_json is not None:
-                from repro.faults import load_fault_schedule
-
-                schedule = load_fault_schedule(job.faults_json)
-            reasons = check_scenario(scenario, schedule)
-            trace_key = scenario_trace_hash(scenario) or "" if not reasons else ""
+            reasons, trace_key = verdict(job.scenario_json, job.faults_json)
         except SpecError as error:
-            reasons = [f"spec-error: {error}"]
+            reasons = (f"spec-error: {error}",)
         if reasons:
             reason = "; ".join(reasons)
             downgraded = dataclasses.replace(job, backend="scalar")
@@ -603,8 +623,8 @@ def execute_plan(
     executable: List[CampaignJob] = list(plan.jobs)
     for straggler in plan.stragglers:
         executable[straggler.index] = straggler.job
-    parse = _parse_once()
-    keys = [_job_result_key(job, parse) for job in executable]
+    digests = _digests_once()
+    keys = [_job_result_key(job, digests) for job in executable]
 
     results: List[Any] = [None] * total
     cached = [False] * total
@@ -641,8 +661,24 @@ def execute_plan(
         if cached[straggler.index]:
             continue
         tasks.append(("solo", (straggler.job,), collect))
-        labels.append(f"plan:straggler:{straggler.job.label}")
+        # Job labels need not be unique; the index makes the task's.
+        labels.append(f"plan:straggler:{straggler.index}:{straggler.job.label}")
         slots.append([straggler.index])
+
+    positions = {label: position for position, label in enumerate(labels)}
+
+    def publish(label: str, output: List[Any], timing: Any) -> None:
+        # Runs as each shard lands: its pack is on disk while the other
+        # workers still compute, and an abort keeps what finished.  A
+        # straggler's payload (up to a few MB) is stored once the pool
+        # returns, so pickling it never holds this process's interpreter
+        # lock while workers are handing in results.
+        position = positions[label]
+        if tasks[position][0] == "batch":
+            cache.put_many(
+                (keys[index], payload)
+                for index, payload in zip(slots[position], output)
+            )
 
     if tasks:
         with (
@@ -658,15 +694,16 @@ def execute_plan(
                 chaos=chaos,
                 on_error=on_error,
                 telemetry=telemetry,
+                on_complete=publish if cache is not None else None,
             )
-        for indices, output in zip(slots, outputs):
+        for (kind, _, _), indices, output in zip(tasks, slots, outputs):
             if isinstance(output, TaskError):
                 for index in indices:
                     results[index] = output
                 continue
             for index, payload in zip(indices, output):
                 results[index] = payload
-                if cache is not None:
+                if cache is not None and kind == "solo":
                     cache.put(keys[index], payload)
         if telemetry.enabled:
             telemetry.inc("plan.shards", len(tasks))

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.experiments.cache import CACHE_MAGIC, ResultCache
+from repro.experiments.cache import CACHE_MAGIC, PACK_DIR, PACK_MAGIC, ResultCache
 
 
 def _payload(tag):
@@ -194,3 +194,141 @@ def test_corruption_reports_telemetry(tmp_cache):
     assert tmp_cache.get(key) is None
     snapshot = telemetry.snapshot()["metrics"]
     assert snapshot["cache.corrupt_entries"]["value"] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Packs: one checksummed file per campaign shard (``put_many``).  Any
+# damage quarantines the whole pack, so every key in it becomes a miss.
+# ---------------------------------------------------------------------------
+
+
+def _pack_items(tag, count=6):
+    return [
+        (f"{tag:0>60}{index:04d}", _payload(f"{tag}/{index}"))
+        for index in range(count)
+    ]
+
+
+def _only_pack(cache):
+    (path,) = (cache.root / PACK_DIR).glob("*.pack")
+    return path
+
+
+@pytest.mark.parametrize("trial_seed", range(5))
+def test_soak_damaged_pack_quarantines_every_key(
+    tmp_cache, fault_seed, trial_seed
+):
+    rng = random.Random(fault_seed * 1000 + 500 + trial_seed)
+    for round_index in range(20):
+        items = _pack_items(round_index)
+        tmp_cache.put_many(items)
+        warm = ResultCache(root=tmp_cache.root)
+        assert warm.get(items[0][0]) == items[0][1]  # indexes the pack
+        path = _only_pack(tmp_cache)
+        path.write_bytes(_corrupt(path.read_bytes(), rng))
+
+        # A reader that indexed the pack before the damage still checks
+        # every entry it reads: the exact payload or a miss, nothing else
+        # (a damaged entry quarantines the pack on the spot).
+        for key, payload in items:
+            assert warm.get(key) in (payload, None)
+
+        fresh = ResultCache(root=tmp_cache.root)
+        assert [fresh.get(key) for key, _ in items] == [None] * len(items)
+        assert warm.stats.corrupt + fresh.stats.corrupt == 1
+        assert fresh.stats.misses == len(items)
+        assert not path.exists(), "a damaged pack must be removed"
+
+        # Recomputed results republish a readable pack.
+        tmp_cache.put_many(items)
+        reread = ResultCache(root=tmp_cache.root)
+        assert [reread.get(key) for key, _ in items] == [p for _, p in items]
+        assert reread.stats.corrupt == 0
+        _only_pack(tmp_cache).unlink()
+
+
+def test_padded_pack_is_quarantined_and_reported(tmp_cache):
+    from repro.observability.telemetry import Telemetry
+
+    items = _pack_items("t")
+    tmp_cache.put_many(items)
+    path = _only_pack(tmp_cache)
+    path.write_bytes(path.read_bytes() + b"\x00")  # intact entries, padded
+    telemetry = Telemetry()
+    reader = ResultCache(root=tmp_cache.root, telemetry=telemetry)
+    assert [reader.get(key) for key, _ in items] == [None] * len(items)
+    snapshot = telemetry.snapshot()["metrics"]
+    assert snapshot["cache.corrupt_entries"]["value"] == 1.0
+
+
+def test_pack_layout_is_content_named_and_deterministic(tmp_cache, tmp_path):
+    items = _pack_items("d")
+    tmp_cache.put_many(items)
+    other = ResultCache(root=tmp_path / "other")
+    other.put_many(reversed(items))
+    path = _only_pack(tmp_cache)
+    assert path.read_bytes().startswith(PACK_MAGIC)
+    assert path.name == _only_pack(other).name
+    assert path.read_bytes() == _only_pack(other).read_bytes()
+    assert tmp_cache.stats.stores == len(items)
+    assert not list(tmp_cache.root.rglob("*.tmp"))
+    assert not list(tmp_cache.root.glob("*.pkl"))
+
+
+def test_one_reader_serves_both_layouts(tmp_cache):
+    packed = _pack_items("p")
+    tmp_cache.put_many(packed)
+    tmp_cache.put("f" * 64, _payload("file"))
+    # A key in both layouts: the per-key file is read first.
+    tmp_cache.put(packed[0][0], _payload("newer"))
+
+    reader = ResultCache(root=tmp_cache.root)
+    assert reader.get("f" * 64) == _payload("file")
+    assert reader.get(packed[0][0]) == _payload("newer")
+    assert [reader.get(key) for key, _ in packed[1:]] == [
+        payload for _, payload in packed[1:]
+    ]
+    assert reader.get("0" * 64) is None
+    assert reader.stats.as_dict() == {
+        "hits": len(packed) + 1, "misses": 1, "stores": 0, "corrupt": 0,
+    }
+
+
+def test_clear_and_len_count_both_layouts(tmp_cache):
+    assert len(tmp_cache) == 0
+    tmp_cache.put_many(_pack_items("a", count=3))
+    tmp_cache.put_many(_pack_items("b", count=2))
+    tmp_cache.put("f" * 64, _payload("file"))
+    tmp_cache.put(_pack_items("a")[0][0], _payload("both layouts"))
+    assert len(tmp_cache) == 6
+    assert ResultCache(root=tmp_cache.root).clear() == 6
+    assert len(tmp_cache) == 0
+    assert tmp_cache.get(_pack_items("b")[0][0]) is None
+    assert not list(tmp_cache.root.rglob("*.p*k*"))
+
+
+def test_pack_index_rereads_only_when_packs_change(tmp_cache, monkeypatch):
+    """Per-key writes never rescan; a new pack is the only one read."""
+    import repro.experiments.cache as cache_mod
+
+    read = []
+    real_parse = cache_mod._parse_pack
+
+    def spy(raw):
+        read.append(len(raw))
+        return real_parse(raw)
+
+    monkeypatch.setattr(cache_mod, "_parse_pack", spy)
+    first, second = _pack_items("x"), _pack_items("y")
+    tmp_cache.put_many(first)
+    assert tmp_cache.get(first[0][0]) == first[0][1]
+    assert len(read) == 1
+
+    tmp_cache.put("f" * 64, _payload("file"))
+    assert tmp_cache.get("e" * 64) is None
+    assert tmp_cache.get(first[1][0]) == first[1][1]
+    assert len(read) == 1
+
+    tmp_cache.put_many(second)
+    assert tmp_cache.get(second[0][0]) == second[0][1]
+    assert len(read) == 2

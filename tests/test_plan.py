@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import pickle
 from pathlib import Path
 
 import pytest
 
 from repro.apps.temp_alarm import MODE_SENSE, scenario
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InjectedWorkerCrash
+from repro.experiments.cache import PACK_DIR, ResultCache
 from repro.experiments.parallel import RetryPolicy, TaskError, WorkerPool
 from repro.experiments.plan import (
     DEFAULT_VEC_HORIZON,
@@ -123,6 +126,33 @@ class TestPlanCampaign:
         assert job_result_key(straggler.job) == job_result_key(
             dataclasses.replace(faulted, backend="scalar")
         )
+
+    def test_capability_checks_run_once_per_distinct_scenario(self, monkeypatch):
+        import repro.vec
+
+        checked = []
+        real = repro.vec.check_scenario
+
+        def counting(scenario, schedule=None):
+            checked.append(scenario.name)
+            return real(scenario, schedule)
+
+        monkeypatch.setattr(repro.vec, "check_scenario", counting)
+        other = _scenario_json(seed=1)
+        broken = CampaignJob(
+            label="broken", scenario_json='{"name": 1}', backend="vec"
+        )
+        jobs = _vec_jobs(4) + [
+            dataclasses.replace(job, scenario_json=other) for job in _vec_jobs(4)
+        ] + [broken, dataclasses.replace(broken, label="broken-too")]
+        plan = plan_campaign(jobs)
+        assert len(checked) == 2
+        assert plan.batched_jobs == 8
+        # A spec error is never memoized: each job raises and reports
+        # its own.
+        assert [(s.index, s.slug) for s in plan.stragglers] == [
+            (8, "spec-error"), (9, "spec-error"),
+        ]
 
 
 class TestBitIdentity:
@@ -321,3 +351,124 @@ class TestExecutePlan:
             assert pool.tasks_run >= 2
         assert first.results == serial.results
         assert second.results == serial.results
+
+
+def _replay_scenario_json() -> str:
+    """The TempAlarm scenario under an inline hold-replay irradiance trace."""
+    doc = json.loads(_scenario_json())
+    doc["platform"]["harvester"]["irradiance"] = {
+        "kind": "replay",
+        "samples": [[0.0, 24.0], [20.0, 6.0], [40.0, 18.0]],
+    }
+    return json.dumps(doc)
+
+
+def _mixed_jobs():
+    """Vec cohorts (static and replay trace) plus scalar stragglers,
+    two of which share one label."""
+    faults = (GOLDEN_FAULTS / "blackout.json").read_text()
+    replayed = [
+        dataclasses.replace(
+            job, label=f"r{i}", scenario_json=_replay_scenario_json()
+        )
+        for i, job in enumerate(_vec_jobs(2))
+    ]
+    scalar = [
+        CampaignJob(label="dup", scenario_json=_scenario_json(), horizon=30.0),
+        CampaignJob(
+            label="dup", scenario_json=_scenario_json(seed=1), horizon=30.0,
+            faults_json=faults,
+        ),
+    ]
+    return _vec_jobs(4) + replayed + scalar
+
+
+def _files(root, pattern):
+    return sorted(root.rglob(pattern))
+
+
+class TestPackPublish:
+    """Each completed vec shard publishes one pack; stragglers keep
+    their per-key file."""
+
+    def test_keys_equal_job_result_key_on_mixed_campaign(self):
+        jobs = _mixed_jobs()
+        plan = plan_campaign(jobs)
+        assert len(plan.cohorts) == 2 and len(plan.stragglers) == 2
+        assert execute_plan(plan, jobs=1).keys == [job_result_key(j) for j in jobs]
+
+    def test_stragglers_sharing_a_label_get_their_own_tasks(self, tmp_cache):
+        jobs = _mixed_jobs()
+        executed = execute_plan(
+            plan_campaign(jobs),
+            cache=tmp_cache,
+            jobs=1,
+            chaos=WorkerChaos(
+                seed=7, probability=1.0, max_crashes=99,
+                only_label="plan:straggler:7:dup",
+            ),
+        )
+        assert isinstance(executed.results[7], TaskError)
+        assert isinstance(executed.results[6], dict)
+        assert tmp_cache.get(executed.keys[6]) == executed.results[6]
+        assert tmp_cache.get(executed.keys[7]) is None
+
+    def test_cold_run_packs_shards_and_warm_rerun_hits_identical_bytes(
+        self, tmp_path
+    ):
+        jobs = _mixed_jobs()
+        root = tmp_path / "cache"
+        first = execute_plan(
+            plan_campaign(jobs), cache=ResultCache(root=root), jobs=1,
+            shard_size=2,
+        )
+        # 3 shards (4 static jobs, 2 replayed) -> 3 packs; 2 stragglers
+        # -> 2 per-key files.
+        assert len(_files(root / PACK_DIR, "*.pack")) == 3
+        assert len(_files(root, "*.pkl")) == 2
+
+        second = execute_plan(
+            plan_campaign(jobs), cache=ResultCache(root=root), jobs=1
+        )
+        assert second.cached == [True] * len(jobs)
+        assert [pickle.dumps(r) for r in second.results] == [
+            pickle.dumps(r) for r in first.results
+        ]
+
+    @pytest.mark.parametrize(
+        "workers", sorted({1, int(os.environ.get("REPRO_DAG_TEST_JOBS", "2"))})
+    )
+    def test_kill_mid_campaign_keeps_finished_shards(self, tmp_path, workers):
+        jobs = _vec_jobs(6)
+        root = tmp_path / "cache"
+        clean = execute_plan(plan_campaign(jobs), jobs=1)
+        kill = WorkerChaos(
+            seed=7, probability=1.0, max_crashes=99, only_label="plan:c0:s2"
+        )
+        with WorkerPool(jobs=workers) as pool:
+            with pytest.raises(InjectedWorkerCrash):
+                execute_plan(
+                    plan_campaign(jobs), cache=ResultCache(root=root),
+                    pool=pool, shard_size=2, chaos=kill, on_error="raise",
+                )
+            packs = _files(root / PACK_DIR, "*.pack")
+            resumed = execute_plan(
+                plan_campaign(jobs), cache=ResultCache(root=root), pool=pool,
+                shard_size=2,
+            )
+
+        # In-process, shards s0 and s1 finish before s2 is killed.  On a
+        # pool, s2 waits for a free worker, so at least one shard has
+        # finished and been published when the abort lands.
+        hit_shards = [resumed.cached[i] for i in (0, 2, 4)]
+        assert resumed.cached == [hit for hit in hit_shards for _ in (0, 1)]
+        assert hit_shards[2] is False
+        assert len(packs) == sum(hit_shards)
+        assert len(packs) == 2 if workers == 1 else len(packs) >= 1
+        assert not _files(root, "*.pkl")
+        assert resumed.results == clean.results
+
+        rerun = execute_plan(
+            plan_campaign(jobs), cache=ResultCache(root=root), jobs=1
+        )
+        assert rerun.cached == [True] * len(jobs)
