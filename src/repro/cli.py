@@ -17,7 +17,7 @@ appears::
     python -m repro.cli trace replay env.rtrc --at 0 30min 1h
     python -m repro.cli experiment fig08 --scale 0.2
     python -m repro.cli run-all --scale 0.5 --metrics-out m.jsonl
-    python -m repro.cli run-all --resume            # continue after a kill
+    python -m repro.cli run-all                     # a rerun resumes from the cache
     python -m repro.cli campaign report .repro-cache/campaign.ckpt
     python -m repro.cli serve --port 8787 --jobs 4
     python -m repro.cli submit --spec scenario.json --url http://host:8787
@@ -245,14 +245,6 @@ def _report_run(
 def _cmd_run_app(args: argparse.Namespace) -> int:
     from repro.observability.telemetry import Telemetry, telemetry_scope
 
-    if args.backend != "scalar":
-        print(
-            f"error: run-app is a single-device scalar path; the "
-            f"{args.backend!r} backend routes grid experiments "
-            f"(`repro experiment ... --backend {args.backend}`)",
-            file=sys.stderr,
-        )
-        return 2
     builder = APP_BUILDERS[args.app]
     kind = _SYSTEM_BY_NAME[args.system]
     schedule = _load_inject(args)
@@ -675,7 +667,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             trace_out=args.trace_out,
             inject=Path(args.inject) if args.inject is not None else None,
             backend=args.backend,
-            resume=args.resume,
         )
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -879,7 +870,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser(
         "run-app",
-        parents=[inject_parent, backend_parent, telemetry_parent],
+        parents=[inject_parent, telemetry_parent],
         help="run one app on one system",
     )
     run_parser.add_argument("app", choices=sorted(APP_BUILDERS))
@@ -1051,11 +1042,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_all_parser.add_argument(
         "--clear-cache", action="store_true",
         help="drop cached results before running",
-    )
-    run_all_parser.add_argument(
-        "--resume", action="store_true",
-        help="skip tasks the campaign checkpoint records as complete "
-        "(requires the cache)",
     )
     run_all_parser.set_defaults(func=_cmd_run_all)
 

@@ -191,6 +191,35 @@ def _parse_pack(raw: bytes) -> Optional[_PackIndex]:
     return index if end == len(raw) else None
 
 
+def atomic_publish(path: Path, chunks: Sequence[bytes]) -> None:
+    """Write *chunks* to *path* atomically, per writer.
+
+    Each call stages into its own unique temp file before the
+    rename.  A shared temp name (the old ``<key>.tmp``) let two
+    concurrent writers of the same entry race — one could rename the
+    file the other was still filling, publishing a truncated entry.
+    With a unique temp per writer the rename always publishes a fully
+    written file (last writer wins, both contents being identical by
+    construction), and a worker killed mid-write leaves only an
+    orphan temp, never a partial entry.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    handle, tmp_name = tempfile.mkstemp(
+        prefix=f"{path.stem}.", suffix=".tmp", dir=path.parent
+    )
+    try:
+        with os.fdopen(handle, "wb") as tmp:
+            for chunk in chunks:
+                tmp.write(chunk)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/store counters for one :class:`ResultCache` instance."""
@@ -356,41 +385,13 @@ class ResultCache:
         except OSError:
             pass
 
-    def _publish(self, path: Path, chunks: Sequence[bytes]) -> None:
-        """Write *chunks* to *path* atomically, per writer.
-
-        Each call stages into its own unique temp file before the
-        rename.  A shared temp name (the old ``<key>.tmp``) let two
-        concurrent writers of the same entry race — one could rename the
-        file the other was still filling, publishing a truncated entry.
-        With a unique temp per writer the rename always publishes a fully
-        written file (last writer wins, both contents being identical by
-        construction), and a worker killed mid-write leaves only an
-        orphan temp, never a partial entry.
-        """
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle, tmp_name = tempfile.mkstemp(
-            prefix=f"{path.stem}.", suffix=".tmp", dir=path.parent
-        )
-        try:
-            with os.fdopen(handle, "wb") as tmp:
-                for chunk in chunks:
-                    tmp.write(chunk)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
     def put(self, key: str, payload: Any) -> None:
         """Store *payload* under *key* as one ``<key>.pkl`` file (no-op
         when disabled)."""
         if not self.enabled:
             return
         body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        self._publish(
+        atomic_publish(
             self._path(key), (CACHE_MAGIC, hashlib.sha256(body).digest(), body)
         )
         self.stats.stores += 1
@@ -422,7 +423,7 @@ class ResultCache:
             offset += len(body)
         index = json.dumps(entries, separators=(",", ":")).encode()
         digest = hashlib.sha256(index).digest()
-        self._publish(
+        atomic_publish(
             self._pack_root / f"{digest.hex()}.pack",
             (
                 _PACK_HEADER.pack(PACK_MAGIC, digest, len(index)),

@@ -9,18 +9,20 @@ not overlap.  This module turns the campaign into a dependency graph:
   **at build time** (duplicate ids, unknown predecessors, cycles raise
   :class:`~repro.errors.DagError`, a typed ``SpecError``) so a bad
   declaration can never strand a half-run campaign.
-* :class:`CheckpointStore` — a versioned, checksummed campaign-state
-  file persisted next to the result cache after every task completion.
-  The on-disk framing mirrors the result cache's: magic, SHA-256 of the
-  body, then a canonical JSON body.  A corrupt or future-versioned file
-  is **quarantined** (deleted, counted on telemetry) and the campaign
-  starts fresh — corruption can skip no task it shouldn't.
+* :class:`CheckpointStore` — a versioned, checksummed campaign record
+  persisted next to the result cache after every task completion: each
+  task's dependency edges, result key and timing, which the post-run
+  report reads.  Which tasks a run skips is the result cache's call
+  alone.  The on-disk framing mirrors the result cache's: magic,
+  SHA-256 of the body, then a canonical JSON body.  A corrupt or
+  future-versioned file is **quarantined** (deleted, counted on
+  telemetry) and its timings are lost, nothing more.
 * :func:`run_dag` — validates the pending tasks and hands them, with
   their predecessor edges, to the one dispatch loop of
   :class:`~repro.experiments.parallel.WorkerPool` under the established
   RetryPolicy/WorkerChaos contract.
   Every task stays a pure function of its arguments, so a chaos-killed
-  run resumed to completion is bit-identical to a clean serial run —
+  run rerun to completion is bit-identical to a clean serial run —
   the property the differential suite pins.
 * :class:`DagReport` — the post-run critical-path report: the longest
   dependency chain, a greedy list-schedule's per-worker utilization,
@@ -35,8 +37,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -52,6 +52,7 @@ from typing import (
 )
 
 from repro.errors import CheckpointError, ConfigurationError, DagError
+from repro.experiments.cache import atomic_publish
 from repro.observability.telemetry import Telemetry, resolve_telemetry
 
 __all__ = [
@@ -177,10 +178,6 @@ class CampaignDag:
     def successors(self, node: str) -> Tuple[str, ...]:
         return tuple(self._successors[node])
 
-    def after_map(self) -> Dict[str, Tuple[str, ...]]:
-        """``node -> declared predecessors`` (checkpoint serialisation)."""
-        return dict(self._after)
-
     def levels(self) -> List[List[str]]:
         """Topological levels, declaration order within each."""
         return [list(level) for level in self._levels]
@@ -244,7 +241,7 @@ class CompletedTask:
 
     node: str
     key: str
-    source: str = "ran"  # "ran" | "cache" | "resume"
+    source: str = "ran"  # "ran" | "cache"
     seconds: float = 0.0
     attempts: int = 1
     seq: int = 0
@@ -280,13 +277,12 @@ class CompletedTask:
 class CampaignState:
     """In-memory twin of one checkpoint file.
 
-    ``campaign`` is the identity block — everything that must match for
-    a resume to be *safe*: the root seed/scale/backend, the fault-
-    schedule hash, the code fingerprint, and each task's dependency
-    edges plus its content-addressed result key.  A resumed task is
-    skipped only when its recorded key equals the key the current run
-    computes, so stale completions (edited code, different seed) can
-    never produce a wrong skip.
+    ``campaign`` names the campaign and maps each task to its dependency
+    edges and content-addressed result key (``nodes``) — what
+    :func:`report_from_state` rebuilds the graph from.  A later run
+    carries a recorded task's ``seconds`` forward only when that key
+    equals the key it computes, so stale timings (edited code, another
+    seed) never reach its report.
     """
 
     campaign: Dict[str, Any] = field(default_factory=dict)
@@ -342,7 +338,7 @@ def decode_state(raw: bytes) -> CampaignState:
 
     The digest is verified before a single body byte is interpreted, so
     truncation and bit-flips fail closed rather than yielding a state
-    that skips the wrong tasks.
+    with wrong edges or timings.
     """
     header = len(CHECKPOINT_MAGIC) + _DIGEST_SIZE
     if not raw.startswith(CHECKPOINT_MAGIC):
@@ -371,28 +367,12 @@ class CheckpointStore:
         self.path = Path(path)
 
     def save(self, state: CampaignState) -> None:
-        """Atomically persist *state* (unique temp file + rename).
+        """Atomically persist *state* through :func:`atomic_publish`.
 
         A crash mid-write leaves either the previous checkpoint or the
-        new one, never a torn file; concurrent writers cannot clobber
-        each other's half-written temp because every writer gets its
-        own.
+        new one, never a torn file.
         """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        payload = encode_state(state)
-        handle, tmp_name = tempfile.mkstemp(
-            prefix=self.path.name + ".", suffix=".tmp", dir=self.path.parent
-        )
-        try:
-            with os.fdopen(handle, "wb") as tmp:
-                tmp.write(payload)
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_publish(self.path, (encode_state(state),))
 
     def load(self) -> Optional[CampaignState]:
         """The stored state, ``None`` if absent; corrupt files raise."""
@@ -410,7 +390,7 @@ class CheckpointStore:
         A file that fails validation is deleted and counted
         (``campaign.checkpoint_quarantined``); the caller sees ``None``
         — exactly what a missing checkpoint looks like — so corruption
-        degrades to re-running tasks, never to skipping the wrong ones.
+        costs the recorded timings and nothing else.
         """
         try:
             return self.load()
@@ -473,7 +453,7 @@ def run_dag(
         report: optional :class:`ParallelReport` to fill with timings.
         on_complete: called as ``on_complete(node, result, timing)``
             after each successful task — the checkpoint hook.
-        completed: node ids already satisfied (resumed or cache-served);
+        completed: node ids already satisfied (cache-served);
             they are treated as done for dependency purposes and never
             executed.
 

@@ -14,15 +14,15 @@ on-disk result cache (:mod:`repro.experiments.cache`) when neither
 their parameters nor the simulator source has changed — a warm-cache
 rerun prints every table in seconds.
 
-The campaign checkpoints itself: after every task completion a
-versioned, checksummed state file (``campaign.ckpt`` next to the
-result cache) records what finished and under which result key, so
-``--resume`` skips completed tasks after an interruption.  A resumed
-task is skipped only when its recorded key matches the key the current
-run computes *and* the cached payload is intact — so a resumed
-campaign is bit-identical to an uninterrupted one, which the
-differential chaos suite pins.  A corrupt checkpoint is quarantined
-(fresh start), never trusted.
+Resuming is rerunning: every finished task's payload is in the result
+cache, so a rerun after an interruption serves those tasks from the
+cache and dispatches only the rest — bit-identical to an uninterrupted
+campaign, which the differential chaos suite pins.  After every task
+completion a versioned, checksummed record (``campaign.ckpt`` next to
+the result cache) stores each task's result key and timing; the next
+run carries a cache-served task's recorded seconds into its report when
+the recorded key matches the key it computes.  A corrupt record is
+quarantined and its timings dropped, never trusted.
 
 With ``--metrics-out``/``--trace-out`` each worker job runs inside a
 :func:`~repro.observability.telemetry_scope`; the parent merges the
@@ -46,7 +46,7 @@ utilization, suggested ``--jobs``); ``repro campaign report`` prints
 the same analysis from a checkpoint file alone.
 
 Run: ``python -m repro.experiments.run_all [--scale S] [--seed N]
-[--jobs J | --serial] [--no-cache] [--clear-cache] [--resume]
+[--jobs J | --serial] [--no-cache] [--clear-cache]
 [--inject faults.json] [--backend vec]
 [--metrics-out metrics.jsonl] [--trace-out trace.jsonl]`` — the same
 parser as ``repro run-all``, but at paper scale (``--scale 1.0``) by
@@ -60,7 +60,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.cache import ResultCache, code_fingerprint, result_key
+from repro.experiments.cache import ResultCache, result_key
 from repro.experiments.dag import (
     CampaignDag,
     CampaignState,
@@ -144,29 +144,6 @@ def _usable_payload(payload: object, collect: bool) -> bool:
     )
 
 
-def _campaign_identity(
-    dag: CampaignDag,
-    keys: Dict[str, str],
-    seed: int,
-    scale: float,
-    backend: str,
-    fault_hash: Optional[str],
-) -> Dict[str, object]:
-    """The checkpoint's identity block: what must match to resume."""
-    return {
-        "name": "run-all",
-        "seed": seed,
-        "scale": scale,
-        "backend": backend,
-        "fault_hash": fault_hash,
-        "fingerprint": code_fingerprint(),
-        "nodes": {
-            node: {"after": list(dag.predecessors(node)), "key": keys[node]}
-            for node in dag.nodes
-        },
-    }
-
-
 def main(
     seed: int = 0,
     scale: float = 1.0,
@@ -179,11 +156,10 @@ def main(
     inject: Optional[Path] = None,
     retry: Optional[RetryPolicy] = None,
     backend: str = "scalar",
-    resume: bool = False,
     on_error: str = "capture",
     chaos=None,
 ) -> None:
-    """Run (or replay, or resume) the full suite.
+    """Run the full suite, replaying cached experiments.
 
     Args:
         seed: root seed for schedules and noise.
@@ -206,13 +182,11 @@ def main(
         backend: simulation engine for the grid-shaped experiments that
             declare ``uses_backend`` ("scalar" or "vec"); the rest of
             the suite always runs on the scalar engine.
-        resume: skip tasks the campaign checkpoint records as complete
-            (requires the cache; a key mismatch or missing payload
-            re-runs the task, never a wrong skip).
         on_error: ``"capture"`` (default) degrades a permanently failed
             experiment into an error row and blocks its dependents;
             ``"raise"`` aborts the campaign at the first permanent
-            failure, leaving the checkpoint behind for ``--resume``.
+            failure; a rerun serves everything that finished from the
+            cache.
         chaos: explicit :class:`~repro.faults.inject.WorkerChaos`
             override for tests (``--inject`` is the user-facing path).
     """
@@ -220,11 +194,6 @@ def main(
         raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
     if backend not in ("scalar", "vec"):
         raise ConfigurationError(f"--backend must be scalar or vec, got {backend!r}")
-    if resume and not use_cache:
-        raise ConfigurationError(
-            "--resume replays completed tasks from the result cache; "
-            "it cannot be combined with --no-cache"
-        )
     for flag, path in (("--metrics-out", metrics_out), ("--trace-out", trace_out)):
         if path is not None and not Path(path).parent.is_dir():
             raise ConfigurationError(
@@ -278,7 +247,6 @@ def main(
         f"telemetry={'on' if collect else 'off'}"
         + (f", backend={backend}" if backend != "scalar" else "")
         + (f", chaos={chaos.mode}x{chaos.max_crashes}" if chaos is not None else "")
-        + (", resume" if resume else "")
         + ")"
     )
     print("#" * 70)
@@ -287,58 +255,49 @@ def main(
     outputs: Dict[str, str] = {}
     snapshots: Dict[str, Optional[Dict[str, object]]] = {}
     sources: Dict[str, str] = {}
-    resumed_seconds: Dict[str, float] = {}
 
-    # Resume partition: a checkpointed completion is honoured only when
-    # its recorded key equals the key this run computes (keys embed the
-    # code fingerprint, params, and fault hash — any drift re-runs the
-    # task) AND the cached payload is intact and collect-compatible.
-    if resume:
-        state = store.load_or_quarantine(suite)
-        if state is not None:
-            for task in state.completed:
-                node = task.node
-                if node not in keys or task.key != keys[node]:
-                    continue
-                payload = cache.get(keys[node])
-                if not _usable_payload(payload, collect):
-                    continue
-                outputs[node], snapshots[node] = payload
-                sources[node] = "resume"
-                resumed_seconds[node] = task.seconds
-
-    # Plain cache partition for everything the checkpoint didn't cover.
+    # The result cache alone decides what runs.  The previous record
+    # only lends a cache-served task its timing, and only under the key
+    # this run computes (keys embed the code fingerprint, params, and
+    # fault hash — any drift drops the stale timing).
+    previous = store.load_or_quarantine(suite) if cache.enabled else None
+    recorded = previous.completed_nodes() if previous is not None else {}
+    carried_seconds: Dict[str, float] = {}
     pending: List[Experiment] = []
     for job in suite_jobs:
-        if job.job_id in sources:
-            continue
         payload = cache.get(keys[job.job_id])
-        if _usable_payload(payload, collect):
-            outputs[job.job_id], snapshots[job.job_id] = payload
-            sources[job.job_id] = "cache"
-        else:
+        if not _usable_payload(payload, collect):
             pending.append(job)
+            continue
+        outputs[job.job_id], snapshots[job.job_id] = payload
+        sources[job.job_id] = "cache"
+        task = recorded.get(job.job_id)
+        if task is not None and task.key == keys[job.job_id]:
+            carried_seconds[job.job_id] = task.seconds
 
-    # Fresh checkpoint state for this run: skipped tasks are recorded
-    # up front, executed tasks append as they complete.  Checkpointing
-    # rides the cache (the payloads it points at live there), so
-    # --no-cache runs leave no state file behind.
+    # Fresh record for this run: cache-served tasks are recorded up
+    # front, executed tasks append as they complete.  The record rides
+    # the cache, so --no-cache runs leave no file behind.
     state = CampaignState(
-        campaign=_campaign_identity(dag, keys, seed, scale, backend, fault_hash)
+        campaign={
+            "name": "run-all",
+            "nodes": {
+                node: {"after": list(dag.predecessors(node)), "key": keys[node]}
+                for node in dag.nodes
+            },
+        }
     )
-    for job in suite_jobs:
-        source = sources.get(job.job_id)
-        if source is not None:
-            state.record(
-                CompletedTask(
-                    node=job.job_id,
-                    key=keys[job.job_id],
-                    source=source,
-                    seconds=resumed_seconds.get(job.job_id, 0.0),
-                    attempts=0,
-                    seq=len(state.completed),
-                )
+    for job_id in sources:
+        state.record(
+            CompletedTask(
+                node=job_id,
+                key=keys[job_id],
+                source="cache",
+                seconds=carried_seconds.get(job_id, 0.0),
+                attempts=0,
+                seq=len(state.completed),
             )
+        )
     if cache.enabled:
         store.save(state)
 
@@ -375,7 +334,7 @@ def main(
                 telemetry=suite,
                 report=report,
                 on_complete=_checkpoint,
-                completed=[job_id for job_id in sources],
+                completed=list(sources),
             )
         finally:
             pool.shutdown()
@@ -400,7 +359,6 @@ def main(
     for job in suite_jobs:
         marker = {
             "cache": " [cache hit]",
-            "resume": " [resumed]",
             "error": " [FAILED]",
             "blocked": " [BLOCKED]",
         }.get(sources[job.job_id], "")
@@ -427,7 +385,7 @@ def main(
             title=f"Execution summary ({report.mode}, jobs={report.jobs})",
         )
     )
-    hits = sum(1 for source in sources.values() if source in ("cache", "resume"))
+    hits = sum(1 for source in sources.values() if source == "cache")
     failures = sum(1 for source in sources.values() if source == "error")
     blocked = sum(1 for source in sources.values() if source == "blocked")
     print(
@@ -440,10 +398,10 @@ def main(
     )
 
     # Post-run campaign report: critical path over everything this run
-    # knows a duration for (fresh timings plus checkpointed ones).
-    report_seconds = dict(resumed_seconds)
-    report_seconds.update(seconds_by_id)
-    dag_report = build_report(dag, report_seconds, jobs=jobs)
+    # knows a duration for (fresh timings plus carried-forward ones).
+    dag_report = build_report(
+        dag, {**carried_seconds, **seconds_by_id}, jobs=jobs
+    )
     print()
     print(dag_report.format())
     emit_report_telemetry(dag_report, suite)
@@ -483,11 +441,8 @@ def _emit_telemetry(
         suite.inc("suite.cache.corrupt", cache.stats.corrupt)
     suite.inc(
         "suite.experiments_from_cache",
-        sum(1 for source in sources.values() if source in ("cache", "resume")),
+        sum(1 for source in sources.values() if source == "cache"),
     )
-    resumed = sum(1 for source in sources.values() if source == "resume")
-    if resumed:
-        suite.inc("suite.experiments_resumed", resumed)
     failed = sum(1 for source in sources.values() if source == "error")
     if failed:
         suite.inc("suite.experiments_failed", failed)

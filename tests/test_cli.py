@@ -134,6 +134,14 @@ class TestRunApp:
         data = json.loads(export.read_text())
         assert "samples" in data and "counters" in data
 
+    def test_backend_flag_is_a_usage_error(self, capsys):
+        """run-app is the single-device scalar path; grid experiments
+        take --backend (`experiment NAME --backend vec`)."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run-app", "csr", "--backend", "vec"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestExperimentCommand:
     def test_characterization(self, capsys):
@@ -326,6 +334,13 @@ class TestRunAllVerb:
         assert code == 0
         assert seen["backend"] == "vec"
         assert seen["jobs"] == 1  # --serial forces one worker
+
+    def test_resume_flag_is_a_usage_error(self, capsys):
+        """A rerun over the cache is the resume; there is no flag."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run-all", "--resume"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags",

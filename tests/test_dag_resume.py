@@ -1,5 +1,6 @@
 """Chaos-resume differential suite: a campaign killed at *any* task
-boundary and resumed must end bit-identical to one clean serial run.
+boundary and rerun over its cache must end bit-identical to one clean
+serial run.
 
 The fixture registry forms a real diamond-plus-tail DAG::
 
@@ -20,7 +21,7 @@ import os
 
 import pytest
 
-from repro.errors import ConfigurationError, InjectedWorkerCrash
+from repro.errors import InjectedWorkerCrash
 from repro.experiments import run_all
 from repro.experiments.dag import CampaignDag, CheckpointStore, run_dag
 from repro.experiments.parallel import RetryPolicy, WorkerPool
@@ -112,11 +113,31 @@ def test_kill_at_every_task_boundary_then_resume_is_bit_identical(
     assert (chaos_root / "campaign.ckpt").exists()
     assert len(_cache_bytes(chaos_root)) == finished_before
 
-    resumed = _run(chaos_root, resume=True)
-    assert resumed.count("[resumed]") == finished_before
+    resumed = _run(chaos_root)
+    assert resumed.count("[cache hit]") == finished_before
     assert "[FAILED]" not in resumed and "[BLOCKED]" not in resumed
 
     assert _cache_bytes(chaos_root) == _cache_bytes(clean_root)
+
+
+@pytest.mark.parametrize("kill", ORDER)
+def test_rerun_after_kill_reports_every_task_timed(dag_registry, tmp_path, kill):
+    """A plain rerun carries the recorded timings of the tasks that
+    finished before the kill into its report and its own record."""
+    root = tmp_path / "chaos"
+    with pytest.raises(InjectedWorkerCrash):
+        _run(root, chaos=_kill(kill), on_error="raise", **_FAST_RETRY)
+
+    rerun = _run(root)
+    assert f"tasks: {len(ORDER)} ({len(ORDER)} timed)" in rerun
+
+    seconds = {
+        task.node: task.seconds
+        for task in CheckpointStore(root / "campaign.ckpt").load().completed
+    }
+    assert set(seconds) == set(ORDER)
+    for node in ORDER[: ORDER.index(kill)]:
+        assert seconds[node] > 0.0
 
 
 def test_double_resume_is_bit_identical(dag_registry, tmp_path):
@@ -127,18 +148,17 @@ def test_double_resume_is_bit_identical(dag_registry, tmp_path):
     with pytest.raises(InjectedWorkerCrash):
         _run(chaos_root, chaos=_kill("abl"), on_error="raise", **_FAST_RETRY)
 
-    # First resume runs into a *different* kill further down the DAG.
+    # The first rerun runs into a *different* kill further down the DAG.
     with pytest.raises(InjectedWorkerCrash):
         _run(
             chaos_root,
-            resume=True,
             chaos=_kill("report"),
             on_error="raise",
             **_FAST_RETRY,
         )
 
-    second = _run(chaos_root, resume=True)
-    assert second.count("[resumed]") == len(ORDER) - 1
+    second = _run(chaos_root)
+    assert second.count("[cache hit]") == len(ORDER) - 1
     assert _cache_bytes(chaos_root) == _cache_bytes(clean_root)
 
 
@@ -155,15 +175,15 @@ def test_captured_failure_blocks_descendants_then_resume_completes(
     assert out.count("[BLOCKED]") == 3
     assert "1 experiment(s) FAILED" in out and "3 experiment(s) BLOCKED" in out
 
-    resumed = _run(chaos_root, resume=True)
-    assert resumed.count("[resumed]") == 1  # only sweep finished
+    resumed = _run(chaos_root)
+    assert resumed.count("[cache hit]") == 1  # only sweep finished
     assert "[FAILED]" not in resumed and "[BLOCKED]" not in resumed
     assert _cache_bytes(chaos_root) == _cache_bytes(clean_root)
 
 
 def test_resume_reruns_evicted_cache_entries(dag_registry, tmp_path):
-    """A checkpointed completion whose cached payload vanished is
-    re-run, never wrongly skipped — and regenerates identical bytes."""
+    """A recorded completion whose cached payload vanished is re-run,
+    never wrongly skipped — and regenerates identical bytes."""
     root = tmp_path / "cache"
     _run(root)
 
@@ -173,26 +193,28 @@ def test_resume_reruns_evicted_cache_entries(dag_registry, tmp_path):
     original = victim.read_bytes()
     victim.unlink()
 
-    resumed = _run(root, resume=True)
-    assert resumed.count("[resumed]") == len(ORDER) - 1
+    resumed = _run(root)
+    assert resumed.count("[cache hit]") == len(ORDER) - 1
     assert victim.read_bytes() == original
 
 
 def test_resume_ignores_checkpoint_from_different_inputs(dag_registry, tmp_path):
-    """Changing seed changes every result key, so no checkpointed task
-    is honoured — resume silently degrades to a full fresh run."""
+    """Changing seed changes every result key, so nothing is served
+    from the cache and no seed-0 timing is carried into the record."""
     root = tmp_path / "cache"
     _run(root)
+    store = CheckpointStore(root / "campaign.ckpt")
+    seed0 = {task.key: task.seconds for task in store.load().completed}
 
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        run_all.main(seed=1, scale=0.05, jobs=1, cache_dir=root, resume=True)
-    assert buffer.getvalue().count("[resumed]") == 0
+        run_all.main(seed=1, scale=0.05, jobs=1, cache_dir=root)
+    assert buffer.getvalue().count("[cache hit]") == 0
 
-
-def test_resume_requires_the_cache(dag_registry, tmp_path):
-    with pytest.raises(ConfigurationError, match="--no-cache"):
-        _run(tmp_path / "cache", resume=True, use_cache=False)
+    seed1 = store.load().completed
+    assert len(seed1) == len(ORDER)
+    assert all(task.source == "ran" for task in seed1)
+    assert not {task.key for task in seed1} & set(seed0)
 
 
 # ---------------------------------------------------------------------------
