@@ -9,13 +9,12 @@ report latencies.
 Run:  python examples/compare_power_systems.py
 """
 
-from functools import partial
-
-from repro.apps import GRCVariant, build_grc
+from repro.apps import APPS
 from repro.core import SystemKind
 from repro.experiments import metrics
 from repro.experiments.parallel import run_campaign_parallel
 from repro.experiments.runner import format_table, percent
+from repro.spec import ScenarioBuilder
 
 KINDS = [
     SystemKind.CONTINUOUS,
@@ -27,10 +26,11 @@ KINDS = [
 
 def main() -> None:
     # The same seed means the same Poisson gesture schedule; only the
-    # power system changes.  The picklable partial() builder lets the
-    # four variants run in parallel worker processes (serial fallback
-    # on one core), with bit-identical results either way.
-    builder = partial(build_grc, variant=GRCVariant.FAST, seed=11, event_count=20)
+    # power system changes.  The builder closes over the app's declared
+    # scenario as JSON, so the four variants run in parallel worker
+    # processes (serial fallback on one core), with bit-identical
+    # results either way.
+    builder = ScenarioBuilder(APPS["grc-fast"].scenario(seed=11, event_count=20))
     horizon = builder(SystemKind.CONTINUOUS).schedule.horizon + 30.0
     campaign = run_campaign_parallel(builder, horizon, kinds=list(KINDS))
 

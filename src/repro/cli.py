@@ -22,10 +22,11 @@ appears::
     python -m repro.cli serve --port 8787 --jobs 4
     python -m repro.cli submit --spec scenario.json --url http://host:8787
 
-``run-app`` executes one evaluation application on one power system;
-``run`` does the same from a declarative scenario JSON file
-(:mod:`repro.spec`); ``experiment`` regenerates a paper figure and
-``run-all`` the whole campaign; ``serve`` boots the long-lived job
+``run`` executes a declarative scenario JSON file (:mod:`repro.spec`)
+on one power system, and ``run-app`` is ``run`` over an evaluation
+application's declared scenario (:data:`repro.apps.APPS`);
+``experiment`` regenerates a paper figure and ``run-all`` the whole
+campaign; ``serve`` boots the long-lived job
 service (:mod:`repro.service`) and ``submit`` sends a scenario to one —
 printing the byte-identical summary a local ``run --spec`` would;
 ``info`` reports the API version and per-backend capability matrix, and
@@ -46,31 +47,14 @@ layer and dump canonical JSONL.  ``--inject faults.json`` arms a
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
+import math
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.apps import GRCVariant, build_csr, build_grc, build_temp_alarm
-from repro.apps.base import AppInstance
+from repro.apps import APPS
 from repro.core.builder import SystemKind
-
-#: Application name -> builder taking (kind, seed, event_count).
-APP_BUILDERS: Dict[str, Callable[..., AppInstance]] = {
-    "temp-alarm": lambda kind, seed, events: build_temp_alarm(
-        kind, seed=seed, event_count=events
-    ),
-    "grc-fast": lambda kind, seed, events: build_grc(
-        kind, GRCVariant.FAST, seed=seed, event_count=events
-    ),
-    "grc-compact": lambda kind, seed, events: build_grc(
-        kind, GRCVariant.COMPACT, seed=seed, event_count=events
-    ),
-    "csr": lambda kind, seed, events: build_csr(
-        kind, seed=seed, event_count=events
-    ),
-}
 
 _SYSTEM_BY_NAME = {kind.value: kind for kind in SystemKind}
 
@@ -86,6 +70,14 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _horizon(text: str) -> float:
+    """Simulated seconds: a finite number > 0."""
+    value = float(text)
+    if not math.isfinite(value) or value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
     return value
 
 
@@ -213,7 +205,7 @@ def _cmd_list(_: argparse.Namespace) -> int:
     from repro.experiments.registry import REGISTRY
 
     print("applications (run-app):")
-    for name in APP_BUILDERS:
+    for name in APPS:
         print(f"  {name}")
     print("power systems (--system):")
     for kind in SystemKind:
@@ -225,68 +217,38 @@ def _cmd_list(_: argparse.Namespace) -> int:
     return 0
 
 
-def _report_run(
-    instance: AppInstance,
-    kind: SystemKind,
-    horizon: float,
-    trace,
-    args: argparse.Namespace,
-) -> None:
-    """Trace summary shared by ``run-app`` and ``run --spec``."""
-    from repro.service.runner import format_run_summary
-    from repro.sim.export import save_trace_json
-
-    print(format_run_summary(instance, kind, horizon, trace), end="")
-    if args.export:
-        path = save_trace_json(trace, args.export)
-        print(f"trace exported to {path}")
-
-
 def _cmd_run_app(args: argparse.Namespace) -> int:
-    from repro.observability.telemetry import Telemetry, telemetry_scope
-
-    builder = APP_BUILDERS[args.app]
-    kind = _SYSTEM_BY_NAME[args.system]
-    schedule = _load_inject(args)
-    telemetry = Telemetry() if _wants_telemetry(args) else None
-    scope = (
-        telemetry_scope(telemetry)
-        if telemetry is not None
-        else contextlib.nullcontext()
-    )
-    with scope:
-        instance = builder(kind, args.seed, args.events)
-        if schedule is not None:
-            from repro.faults import apply_faults
-
-            apply_faults(instance, schedule, telemetry=telemetry)
-        horizon = (
-            args.horizon
-            if args.horizon is not None
-            else instance.schedule.horizon + 60.0
-        )
-        trace = instance.run(horizon)
-
-    _report_run(instance, kind, horizon, trace, args)
-    if telemetry is not None:
-        _dump_telemetry(telemetry, scope=args.app, args=args)
-    return 0
+    """``run-app NAME``: ``run`` over the app's declared scenario."""
+    scenario = APPS[args.app].scenario(seed=args.seed, event_count=args.events)
+    return _run_scenario(scenario, args, scope=args.app)
 
 
 def _cmd_run_spec(args: argparse.Namespace) -> int:
-    """``run --spec``: one scenario through the shared service runner.
+    """``run --spec``: one scenario file through the shared service runner."""
+    from repro.errors import SpecError
+    from repro.spec import load_scenario
+
+    try:
+        scenario = load_scenario(Path(args.spec))
+    except (SpecError, OSError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    return _run_scenario(scenario, args, scope=scenario.name)
+
+
+def _run_scenario(scenario, args: argparse.Namespace, scope: str) -> int:
+    """Run *scenario* and print its summary; the body of ``run``/``run-app``.
 
     Routing through :func:`repro.service.runner.run_scenario_job` — the
     exact function service workers execute — is what keeps CLI output
     and HTTP job results byte-identical for the same
-    spec/fault/backend.
+    spec/fault/backend.  *scope* labels the ``--metrics-out`` records.
     """
     from repro.errors import SpecError
     from repro.service.runner import run_scenario_job
-    from repro.spec import canonical_json, load_scenario
+    from repro.spec import canonical_json
 
     try:
-        scenario = load_scenario(Path(args.spec))
         faults_json = None
         schedule = _load_inject(args)
         if schedule is not None:
@@ -316,7 +278,7 @@ def _cmd_run_spec(args: argparse.Namespace) -> int:
 
         telemetry = Telemetry()
         telemetry.merge_snapshot(result["telemetry"] or {})
-        _dump_telemetry(telemetry, scope=result["scenario"], args=args)
+        _dump_telemetry(telemetry, scope=scope, args=args)
     return 0
 
 
@@ -324,19 +286,8 @@ def _scenario_for_name(name: str, seed: int, scale: float) -> List:
     """Scenarios declared by an app name or a registered experiment."""
     from repro.errors import SpecError
 
-    if name in APP_BUILDERS:
-        from repro.apps import csr, grc, temp_alarm
-        from repro.apps.grc import GRCVariant
-
-        factories = {
-            "temp-alarm": lambda: temp_alarm.scenario(seed=seed),
-            "grc-fast": lambda: grc.scenario(variant=GRCVariant.FAST, seed=seed),
-            "grc-compact": lambda: grc.scenario(
-                variant=GRCVariant.COMPACT, seed=seed
-            ),
-            "csr": lambda: csr.scenario(seed=seed),
-        }
-        return [factories[name]()]
+    if name in APPS:
+        return [APPS[name].scenario(seed=seed)]
 
     from repro.experiments.registry import REGISTRY
 
@@ -350,7 +301,7 @@ def _scenario_for_name(name: str, seed: int, scale: float) -> List:
         return list(exp.scenarios(seed, scale))
     raise SpecError(
         f"unknown app or experiment {name!r}; apps: "
-        f"{sorted(APP_BUILDERS)}; see `repro list` for experiments"
+        f"{sorted(APPS)}; see `repro list` for experiments"
     )
 
 
@@ -423,6 +374,8 @@ def _cmd_spec(args: argparse.Namespace) -> int:
 
 def _print_backend_matrix() -> None:
     """The per-backend capability matrix `info` prints."""
+    from repro.experiments.registry import REGISTRY
+
     print(
         "backends:\n"
         "  scalar     full simulation engine: every app, experiment, "
@@ -445,7 +398,7 @@ def _print_backend_matrix() -> None:
         print(f"    {key}: {info[key]}")
     print(
         "\nroutable experiments (repro experiment NAME --backend vec): "
-        "fig03, fig04, ablation, power-sweep, fleet"
+        + ", ".join(REGISTRY.backend_ids())
     )
     print(
         "campaign batching (repro run-all --backend vec): plans "
@@ -612,14 +565,6 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
     finally:
         trace.close()
     return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    if args.trace_command == "record":
-        return _cmd_trace_record(args)
-    if args.trace_command == "info":
-        return _cmd_trace_info(args)
-    return _cmd_trace_replay(args)
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -873,21 +818,21 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[inject_parent, telemetry_parent],
         help="run one app on one system",
     )
-    run_parser.add_argument("app", choices=sorted(APP_BUILDERS))
+    run_parser.add_argument("app", choices=sorted(APPS))
     run_parser.add_argument(
         "--system",
         choices=sorted(_SYSTEM_BY_NAME),
         default=SystemKind.CAPY_P.value,
     )
     run_parser.add_argument("--seed", type=int, default=0)
-    run_parser.add_argument("--events", type=int, default=10)
+    run_parser.add_argument("--events", type=_positive_int, default=10)
     run_parser.add_argument(
-        "--horizon", type=float, default=None, help="seconds (default: schedule + 60)"
+        "--horizon", type=_horizon, default=None, help="seconds (default: schedule + 60)"
     )
     run_parser.add_argument(
         "--export", type=str, default=None, help="write the trace to this JSON file"
     )
-    run_parser.set_defaults(func=_cmd_run_app)
+    run_parser.set_defaults(func=_cmd_run_app, backend="scalar")
 
     spec_run = sub.add_parser(
         "run",
@@ -899,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the spec's system (Pwr, Fixed, CB-R, CB-P)",
     )
     spec_run.add_argument(
-        "--horizon", type=float, default=None, help="seconds (default: schedule + 60)"
+        "--horizon", type=_horizon, default=None, help="seconds (default: schedule + 60)"
     )
     spec_run.add_argument(
         "--export", type=str, default=None, help="write the trace to this JSON file"
@@ -969,13 +914,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-samples", type=_positive_int, default=None,
         help="samples per checksummed chunk (default: 4096)",
     )
-    trace_record.set_defaults(func=_cmd_trace)
+    trace_record.set_defaults(func=_cmd_trace_record)
     trace_info = trace_sub.add_parser(
         "info",
         help="verify trace files end to end and print their headers",
     )
     trace_info.add_argument("files", nargs="+", metavar="FILE")
-    trace_info.set_defaults(func=_cmd_trace)
+    trace_info.set_defaults(func=_cmd_trace_info)
     trace_replay = trace_sub.add_parser(
         "replay", help="sample a recorded trace at chosen times"
     )
@@ -993,7 +938,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--expect-hash", default=None, metavar="SHA256",
         help="fail unless the file's content digest matches",
     )
-    trace_replay.set_defaults(func=_cmd_trace)
+    trace_replay.set_defaults(func=_cmd_trace_replay)
 
     from repro.experiments.registry import REGISTRY
 
@@ -1002,8 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[
             _backend_parent(
                 "simulation engine for backend-routable experiments "
-                "(fig03, fig04, ablation, power-sweep, fleet; see "
-                "`repro info`)"
+                f"({', '.join(REGISTRY.backend_ids())}; see `repro info`)"
             ),
             telemetry_parent,
         ],
@@ -1130,7 +1074,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the spec's system (Pwr, Fixed, CB-R, CB-P)",
     )
     submit_parser.add_argument(
-        "--horizon", type=float, default=None, help="seconds (default: schedule + 60)"
+        "--horizon", type=_horizon, default=None, help="seconds (default: schedule + 60)"
     )
     submit_parser.add_argument(
         "--client-id", default="cli", help="x-client-id header (quota identity)"

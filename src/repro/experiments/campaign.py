@@ -10,7 +10,7 @@ figure modules project different metrics out of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Dict
 
 from repro.apps.base import AppInstance
 from repro.core.builder import SystemKind
@@ -22,8 +22,6 @@ DEFAULT_KINDS = [
     SystemKind.CAPY_R,
     SystemKind.CAPY_P,
 ]
-
-AppBuilder = Callable[[SystemKind], AppInstance]
 
 
 @dataclass

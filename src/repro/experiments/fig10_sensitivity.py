@@ -16,15 +16,14 @@ Run: ``python -m repro.experiments.fig10_sensitivity``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, Sequence
 
-from repro.apps.grc import GRCVariant, build_grc
-from repro.apps.temp_alarm import build_temp_alarm
+from repro.apps import APPS
 from repro.core.builder import SystemKind
 from repro.experiments import metrics
 from repro.experiments.parallel import run_campaign_parallel
 from repro.experiments.runner import ExperimentResult, percent, print_result
+from repro.spec import ScenarioBuilder
 
 TA_KINDS = [
     SystemKind.CONTINUOUS,
@@ -63,12 +62,10 @@ def run(
     grc_series: Dict[str, List[float]] = {kind.value: [] for kind in GRC_KINDS}
 
     for mean in ta_means:
-        # partial() keeps the builder picklable for the parallel runner.
-        builder = partial(
-            build_temp_alarm,
-            seed=seed,
-            event_count=ta_events,
-            mean_interarrival=mean,
+        builder = ScenarioBuilder(
+            APPS["temp-alarm"].scenario(
+                seed=seed, event_count=ta_events, mean_interarrival=mean
+            )
         )
         probe = builder(SystemKind.CONTINUOUS)
         campaign = run_campaign_parallel(
@@ -85,12 +82,10 @@ def run(
             )
 
     for mean in grc_means:
-        builder = partial(
-            build_grc,
-            variant=GRCVariant.FAST,
-            seed=seed,
-            event_count=grc_events,
-            mean_interarrival=mean,
+        builder = ScenarioBuilder(
+            APPS["grc-fast"].scenario(
+                seed=seed, event_count=grc_events, mean_interarrival=mean
+            )
         )
         probe = builder(SystemKind.CONTINUOUS)
         campaign = run_campaign_parallel(

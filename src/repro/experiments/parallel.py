@@ -50,10 +50,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 from repro.apps.base import AppInstance
 from repro.core.builder import SystemKind
 from repro.errors import ConfigurationError
-from repro.experiments.campaign import DEFAULT_KINDS, AppBuilder, Campaign
+from repro.experiments.campaign import DEFAULT_KINDS, Campaign
 from repro.faults.inject import WorkerChaos, _unit_draw
 from repro.observability.telemetry import Telemetry, resolve_telemetry
 from repro.sim.trace import Trace
+from repro.spec import ScenarioBuilder, build_scenario_app
 
 T = TypeVar("T")
 
@@ -522,64 +523,50 @@ class WorkerPool:
 # Campaign fan-out
 # ---------------------------------------------------------------------------
 
-def _run_builder_kind(builder: AppBuilder, kind: SystemKind, horizon: float) -> Trace:
-    """Worker body: build one system variant, run it, return the trace."""
-    instance = builder(kind)
-    instance.run(horizon)
-    return instance.trace
-
-
 def _run_spec_kind(scenario_json: str, kind_value: str, horizon: float) -> Trace:
-    """Worker body for the spec path: only plain strings cross the
-    process boundary; the scenario rebuilds app + system worker-side."""
-    from repro.spec import build_scenario_app
-
+    """Worker body: only plain strings cross the process boundary; the
+    scenario rebuilds app + system worker-side."""
     instance = build_scenario_app(scenario_json, kind=kind_value)
     instance.run(horizon)
     return instance.trace
 
 
 def run_campaign_parallel(
-    builder: AppBuilder,
+    builder: ScenarioBuilder,
     horizon: float,
     kinds: Optional[List[SystemKind]] = None,
     jobs: Optional[int] = None,
     report: Optional[ParallelReport] = None,
 ) -> Campaign:
-    """Run one app under each system kind, fanned out.
+    """Run one app's declared scenario under each system kind, fanned out.
 
-    Each :class:`SystemKind` runs in its own worker process; the parent
-    rebuilds the (cheap, un-run) instances locally and attaches the
-    workers' traces, so the returned :class:`Campaign` is drop-in
-    compatible with every metric helper.  *builder* must embed the
-    seed/schedule so every kind replays the same ground truth — that is
-    also what makes worker runs bit-identical to in-process ones.
+    Each :class:`SystemKind` runs in its own worker process, which
+    receives only the canonical scenario JSON string and rebuilds the
+    app itself; the parent rebuilds the (cheap, un-run) instances
+    locally and attaches the workers' traces, so the returned
+    :class:`Campaign` is drop-in compatible with every metric helper.
+    The scenario embeds the seed/schedule, so every kind replays the
+    same ground truth and worker runs are bit-identical to in-process
+    ones.
 
-    Builders that cannot be pickled (closures over rigs, lambdas) run
-    serially in-process with identical results.  Spec-backed builders
-    (anything exposing ``scenario_json``, e.g.
-    :class:`repro.spec.ScenarioBuilder`) take a stronger path: workers
-    receive only the canonical scenario JSON string — always picklable —
-    and rebuild the app themselves.
+    Raises:
+        ConfigurationError: *builder* is not a
+            :class:`repro.spec.ScenarioBuilder`.
     """
+    if not isinstance(builder, ScenarioBuilder):
+        raise ConfigurationError(
+            f"run_campaign_parallel takes a repro.spec.ScenarioBuilder, "
+            f"got {builder!r}; wrap the app's declared scenario, e.g. "
+            f"ScenarioBuilder(temp_alarm.scenario(seed=0))"
+        )
     kinds = kinds if kinds is not None else list(DEFAULT_KINDS)
-    scenario_json = getattr(builder, "scenario_json", None)
-    if scenario_json is not None:
-        traces = parallel_map(
-            _run_spec_kind,
-            [(scenario_json, kind.value, horizon) for kind in kinds],
-            jobs=jobs,
-            labels=[kind.value for kind in kinds],
-            report=report,
-        )
-    else:
-        traces = parallel_map(
-            _run_builder_kind,
-            [(builder, kind, horizon) for kind in kinds],
-            jobs=jobs,
-            labels=[kind.value for kind in kinds],
-            report=report,
-        )
+    traces = parallel_map(
+        _run_spec_kind,
+        [(builder.scenario_json, kind.value, horizon) for kind in kinds],
+        jobs=jobs,
+        labels=[kind.value for kind in kinds],
+        report=report,
+    )
     instances: Dict[SystemKind, AppInstance] = {}
     app_name = ""
     for kind, trace in zip(kinds, traces):

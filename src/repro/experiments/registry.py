@@ -174,6 +174,11 @@ class ExperimentRegistry:
         self._ensure_catalogue()
         return [exp for exp in self._experiments.values() if exp.in_suite]
 
+    def backend_ids(self) -> List[str]:
+        """Ids of the experiments that route ``--backend`` (``uses_backend``)."""
+        self._ensure_catalogue()
+        return [e.job_id for e in self._experiments.values() if e.uses_backend]
+
     def __contains__(self, job_id: str) -> bool:
         self._ensure_catalogue()
         return job_id in self._experiments
@@ -226,7 +231,7 @@ def run_experiment(
         raise ConfigurationError(
             f"experiment {name!r} has no {backend!r} backend; "
             f"backend-routable experiments: "
-            f"{[e.job_id for e in REGISTRY.all() if e.uses_backend]}"
+            f"{REGISTRY.backend_ids()}"
         )
     kwargs = {"backend": backend} if exp.uses_backend else {}
     if telemetry is None:

@@ -342,18 +342,10 @@ def assemble_from_spec(
 # Scenarios -> applications
 # ---------------------------------------------------------------------------
 
-#: Workload fields each application accepts beyond ``app``.
-APP_WORKLOAD_FIELDS: Dict[str, Tuple[str, ...]] = {
-    "temp-alarm": ("seed", "event_count", "mean_interarrival", "horizon"),
-    "grc-fast": ("seed", "event_count", "mean_interarrival"),
-    "grc-compact": ("seed", "event_count", "mean_interarrival"),
-    "csr": ("seed", "event_count", "mean_interarrival"),
-}
-
-
-def _workload_kwargs(scenario: ScenarioSpec) -> Dict[str, Any]:
+def _workload_kwargs(
+    scenario: ScenarioSpec, allowed: Tuple[str, ...]
+) -> Dict[str, Any]:
     app = scenario.app
-    allowed = APP_WORKLOAD_FIELDS[app]
     workload = {k: v for k, v in scenario.workload.items() if k != "app"}
     unknown = sorted(set(workload) - set(allowed))
     if unknown:
@@ -389,29 +381,20 @@ def build_scenario_app(
             f"'app' field); use platform_from_spec/build_system for "
             f"bare platforms"
         )
-    if app not in APP_WORKLOAD_FIELDS:
-        raise SpecError(
-            f"scenario {scenario.name!r}: unknown app {app!r}; "
-            f"known: {sorted(APP_WORKLOAD_FIELDS)}"
-        )
-    system = SystemKind.from_name(kind if kind is not None else scenario.system)
-    platform = platform_from_spec(scenario.platform)
-    kwargs = _workload_kwargs(scenario)
-
     # Imported here: the app modules import repro.core.builder, which in
     # turn reaches back into repro.spec for build_system's spec path.
-    if app == "temp-alarm":
-        from repro.apps.temp_alarm import build_temp_alarm
+    from repro.apps import APPS
 
-        return build_temp_alarm(system, platform=platform, **kwargs)
-    if app in ("grc-fast", "grc-compact"):
-        from repro.apps.grc import GRCVariant, build_grc
-
-        variant = GRCVariant.FAST if app == "grc-fast" else GRCVariant.COMPACT
-        return build_grc(system, variant=variant, platform=platform, **kwargs)
-    from repro.apps.csr import build_csr
-
-    return build_csr(system, platform=platform, **kwargs)
+    if app not in APPS:
+        raise SpecError(
+            f"scenario {scenario.name!r}: unknown app {app!r}; "
+            f"known: {sorted(APPS)}"
+        )
+    entry = APPS[app]
+    system = SystemKind.from_name(kind if kind is not None else scenario.system)
+    platform = platform_from_spec(scenario.platform)
+    kwargs = _workload_kwargs(scenario, entry.workload_fields)
+    return entry.build(system, platform=platform, **kwargs)
 
 
 class ScenarioBuilder:

@@ -12,7 +12,8 @@ import pytest
 
 import repro
 
-from repro.cli import APP_BUILDERS, build_parser, main
+from repro.apps import APPS
+from repro.cli import build_parser, main
 
 
 class TestParser:
@@ -73,6 +74,43 @@ class TestArgValidation:
         with pytest.raises(ConfigurationError):
             run_all.main(jobs=0)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--spec", "s.json", "--horizon", "nan"],
+            ["run", "--spec", "s.json", "--horizon", "-5"],
+            ["run", "--spec", "s.json", "--horizon", "inf"],
+            ["run", "--spec", "s.json", "--horizon", "0"],
+            ["run-app", "csr", "--horizon", "nan"],
+            ["run-app", "csr", "--horizon", "-5"],
+            ["run-app", "csr", "--horizon", "inf"],
+            ["run-app", "csr", "--horizon", "0"],
+            ["run-app", "csr", "--events", "-1"],
+            ["run-app", "csr", "--events", "0"],
+            ["submit", "--spec", "s.json", "--horizon", "nan"],
+            ["submit", "--spec", "s.json", "--horizon", "-5"],
+            ["submit", "--spec", "s.json", "--horizon", "inf"],
+            ["submit", "--spec", "s.json", "--horizon", "0"],
+        ],
+        ids=lambda argv: "-".join(argv[:1] + argv[-2:]),
+    )
+    def test_bad_run_inputs_are_usage_errors(self, argv, monkeypatch, capsys):
+        """A NaN, infinite or non-positive horizon (and a non-positive
+        event count) exits 2 before any simulation or request starts."""
+        import urllib.request
+
+        import repro.service.runner
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started for a rejected input")
+
+        monkeypatch.setattr(repro.service.runner, "run_scenario_job", forbidden)
+        monkeypatch.setattr(urllib.request, "urlopen", forbidden)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be" in capsys.readouterr().err
+
     def test_run_all_rejects_bad_metrics_out(self):
         from repro.errors import ConfigurationError
         from repro.experiments import run_all
@@ -85,7 +123,7 @@ class TestListCommand:
     def test_lists_everything(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for app in APP_BUILDERS:
+        for app in APPS:
             assert app in out
         assert "CB-P" in out and "fig08" in out
 
@@ -133,6 +171,19 @@ class TestRunApp:
         assert code == 0
         data = json.loads(export.read_text())
         assert "samples" in data and "counters" in data
+
+    def test_metrics_out_scope_is_the_app_name(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.jsonl"
+        code = main(
+            [
+                "run-app", "grc-compact", "--events", "2", "--horizon", "60",
+                "--metrics-out", str(metrics),
+            ]
+        )
+        assert code == 0
+        records = [json.loads(line) for line in metrics.read_text().splitlines()]
+        assert records
+        assert {record["scope"] for record in records} == {"grc-compact"}
 
     def test_backend_flag_is_a_usage_error(self, capsys):
         """run-app is the single-device scalar path; grid experiments
@@ -253,6 +304,24 @@ class TestUnifiedVerbs:
         assert repro.__version__ in out
         assert repro.__api_version__ in out
         assert "scalar" in out
+
+    def test_info_lists_the_backend_routable_experiments(self, capsys):
+        from repro.experiments.registry import REGISTRY
+
+        assert main(["info"]) == 0
+        line = next(
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("routable experiments")
+        )
+        listed = line.split(": ", 1)[1].split(", ")
+        expected = [exp.job_id for exp in REGISTRY.all() if exp.uses_backend]
+        assert listed == expected
+        experiment = build_parser()._subparsers._group_actions[0].choices[
+            "experiment"
+        ]
+        backend = next(a for a in experiment._actions if a.dest == "backend")
+        assert f"({', '.join(expected)}; see" in backend.help
 
     def test_vec_info_verb_removed(self, capsys):
         # `info` prints the matrix (test_info_reports_api_version,

@@ -11,10 +11,10 @@ from functools import partial
 
 import pytest
 
-from repro.apps.csr import build_csr
-from repro.apps.grc import GRCVariant, build_grc
+from repro.apps import APPS
 from repro.apps.temp_alarm import build_temp_alarm
 from repro.core.builder import SystemKind
+from repro.errors import ConfigurationError
 from repro.experiments import metrics
 from repro.experiments.cache import (
     ResultCache,
@@ -29,6 +29,7 @@ from repro.experiments.parallel import (
     parallel_map,
     run_campaign_parallel,
 )
+from repro.spec import ScenarioBuilder
 
 KINDS = [SystemKind.CONTINUOUS, SystemKind.FIXED, SystemKind.CAPY_P]
 
@@ -106,24 +107,21 @@ class TestCampaignDeterminism:
     """Parallel campaigns must be bit-identical to serial ones."""
 
     @pytest.mark.parametrize(
-        "app,builder",
-        [
-            ("ta", partial(build_temp_alarm, seed=5, event_count=4)),
-            (
-                "grc",
-                partial(
-                    build_grc, variant=GRCVariant.FAST, seed=5, event_count=6
-                ),
-            ),
-            ("csr", partial(build_csr, seed=5, event_count=6)),
-        ],
+        "app,name,events",
+        [("ta", "temp-alarm", 4), ("grc", "grc-fast", 6), ("csr", "csr", 6)],
         ids=["temp-alarm", "grc-fast", "csr"],
     )
-    def test_parallel_matches_serial(self, app, builder):
-        horizon = builder(SystemKind.CONTINUOUS).schedule.horizon + 60.0
+    def test_parallel_matches_serial(self, app, name, events):
+        # The oracle builds each system directly, in-process; the
+        # campaign fans the app's declared scenario out to workers.
+        direct = partial(APPS[name].build, seed=5, event_count=events)
+        builder = ScenarioBuilder(
+            APPS[name].scenario(seed=5, event_count=events)
+        )
+        horizon = direct(SystemKind.CONTINUOUS).schedule.horizon + 60.0
         serial = {}
         for kind in KINDS:
-            serial[kind] = builder(kind)
+            serial[kind] = direct(kind)
             serial[kind].run(horizon)
         fanned = run_campaign_parallel(
             builder, horizon, kinds=list(KINDS), jobs=2
@@ -141,7 +139,9 @@ class TestCampaignDeterminism:
             assert pickle.dumps(fanned_trace) == pickle.dumps(serial_trace)
 
     def test_campaign_metadata_preserved(self):
-        builder = partial(build_temp_alarm, seed=5, event_count=4)
+        builder = ScenarioBuilder(
+            APPS["temp-alarm"].scenario(seed=5, event_count=4)
+        )
         horizon = builder(SystemKind.CONTINUOUS).schedule.horizon + 60.0
         campaign = run_campaign_parallel(
             builder, horizon, kinds=list(KINDS), jobs=2
@@ -149,6 +149,12 @@ class TestCampaignDeterminism:
         assert campaign.horizon == horizon
         assert campaign.app_name
         assert campaign.reference is campaign.instance(SystemKind.CONTINUOUS)
+
+    def test_rejects_a_bare_builder(self):
+        """Campaigns take declared scenarios, not direct builders."""
+        builder = partial(build_temp_alarm, seed=5, event_count=4)
+        with pytest.raises(ConfigurationError, match="ScenarioBuilder"):
+            run_campaign_parallel(builder, 60.0, kinds=list(KINDS), jobs=1)
 
 
 class TestResultKey:

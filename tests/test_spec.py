@@ -3,11 +3,12 @@
 import json
 import math
 import pickle
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from repro.apps import csr, grc, temp_alarm
+from repro.apps import APPS, csr, grc, temp_alarm
 from repro.apps.grc import GRCVariant
 from repro.core.builder import SystemKind, build_system
 from repro.errors import ConfigurationError, SpecError
@@ -32,10 +33,16 @@ from repro.spec import (
 GOLDEN_DIR = Path(__file__).parent / "golden" / "specs"
 
 APP_SCENARIOS = {
-    "temp-alarm": lambda: temp_alarm.scenario(seed=3, event_count=7),
-    "grc-fast": lambda: grc.scenario(variant=GRCVariant.FAST, seed=3),
-    "grc-compact": lambda: grc.scenario(variant=GRCVariant.COMPACT, seed=3),
-    "csr": lambda: csr.scenario(seed=3, event_count=7),
+    name: partial(app.scenario, seed=3, event_count=7)
+    for name, app in APPS.items()
+}
+
+#: The hand-wired builds each catalogue scenario must reproduce.
+DIRECT_BUILDS = {
+    "temp-alarm": temp_alarm.build_temp_alarm,
+    "grc-fast": partial(grc.build_grc, variant=GRCVariant.FAST),
+    "grc-compact": partial(grc.build_grc, variant=GRCVariant.COMPACT),
+    "csr": csr.build_csr,
 }
 
 
@@ -243,11 +250,15 @@ def test_scenario_builder_pickles_and_rebuilds():
     assert instance.name == "TempAlarm"
 
 
-def test_spec_built_app_matches_direct_build():
-    scenario = temp_alarm.scenario(seed=5, event_count=6)
-    via_spec = build_scenario_app(scenario, kind="CB-P")
-    direct = temp_alarm.build_temp_alarm(
-        SystemKind.CAPY_P, seed=5, event_count=6
+@pytest.mark.parametrize("system", ["Pwr", "Fixed", "CB-R", "CB-P"])
+@pytest.mark.parametrize("app", sorted(APPS))
+def test_spec_built_app_matches_direct_build(app, system):
+    """The equivalence run-app and the campaigns rest on: an app's
+    declared scenario builds the same run as its hand-wired builder."""
+    scenario = APPS[app].scenario(seed=5, event_count=3)
+    via_spec = build_scenario_app(scenario, kind=system)
+    direct = DIRECT_BUILDS[app](
+        SystemKind.from_name(system), seed=5, event_count=3
     )
     horizon = direct.schedule.horizon + 60.0
     trace_spec = via_spec.run(horizon)
