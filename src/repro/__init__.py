@@ -16,8 +16,8 @@ The curated public API lives at this top level:
 * :class:`FleetState` / :class:`FleetKernel` / :func:`build_fleet` /
   :func:`vec_capabilities` — the vectorized fleet backend
   (:mod:`repro.vec`): thousands of devices as struct-of-arrays NumPy
-  state advanced in lockstep, for grid-shaped experiments
-  (``--backend vec``).
+  state advanced in lockstep, behind the grid-shaped experiments and
+  ``run --backend vec``.
 * :class:`ReplayTrace` / :class:`TraceReader` / :class:`TraceWriter` /
   :func:`record_trace` — recorded environment traces
   (:mod:`repro.traces`): a versioned, chunk-checksummed on-disk format

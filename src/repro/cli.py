@@ -51,7 +51,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.apps import APPS
 from repro.core.builder import SystemKind
@@ -73,12 +73,25 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _horizon(text: str) -> float:
-    """Simulated seconds: a finite number > 0."""
-    value = float(text)
-    if not math.isfinite(value) or value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
-    return value
+def _finite_float(low: float, inclusive: bool = False) -> Callable[[str], float]:
+    """An argparse type: a finite number > *low* (>= *low* if *inclusive*)."""
+    relation = ">=" if inclusive else ">"
+
+    def finite_float(text: str) -> float:
+        value = float(text)
+        if not (
+            math.isfinite(value) and (value >= low if inclusive else value > low)
+        ):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {relation} {low:g}, got {value}"
+            )
+        return value
+
+    return finite_float
+
+
+#: ``--horizon``, ``--scale``, ``--job-ttl``, ``--timeout``.
+_positive_float = _finite_float(0.0)
 
 
 def _writable_path(text: str) -> Path:
@@ -374,8 +387,6 @@ def _cmd_spec(args: argparse.Namespace) -> int:
 
 def _print_backend_matrix() -> None:
     """The per-backend capability matrix `info` prints."""
-    from repro.experiments.registry import REGISTRY
-
     print(
         "backends:\n"
         "  scalar     full simulation engine: every app, experiment, "
@@ -396,14 +407,6 @@ def _print_backend_matrix() -> None:
         print(f"      {kind:10s} {text}")
     for key in ("boosters", "limiter", "reconfiguration", "faults", "workloads"):
         print(f"    {key}: {info[key]}")
-    print(
-        "\nroutable experiments (repro experiment NAME --backend vec): "
-        + ", ".join(REGISTRY.backend_ids())
-    )
-    print(
-        "campaign batching (repro run-all --backend vec): plans "
-        "vec-routable jobs into fleet cohorts (see docs/performance.md)"
-    )
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -579,7 +582,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             seed=args.seed,
             scale=args.scale,
             telemetry=telemetry,
-            backend=args.backend,
         )
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -594,9 +596,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     """``repro run-all``: the whole experiment campaign.
 
     The one front end of :func:`repro.experiments.run_all.main` (the
-    ``python -m repro.experiments.run_all`` spelling delegates here);
-    with ``--backend vec`` the campaign's vec-routable experiments run
-    through the batching planner (:mod:`repro.experiments.plan`).
+    ``python -m repro.experiments.run_all`` spelling delegates here).
     """
     from repro.errors import ConfigurationError
     from repro.experiments import run_all
@@ -611,7 +611,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             metrics_out=args.metrics_out,
             trace_out=args.trace_out,
             inject=Path(args.inject) if args.inject is not None else None,
-            backend=args.backend,
         )
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -827,7 +826,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--seed", type=int, default=0)
     run_parser.add_argument("--events", type=_positive_int, default=10)
     run_parser.add_argument(
-        "--horizon", type=_horizon, default=None, help="seconds (default: schedule + 60)"
+        "--horizon", type=_positive_float, default=None,
+        help="seconds (default: schedule + 60)",
     )
     run_parser.add_argument(
         "--export", type=str, default=None, help="write the trace to this JSON file"
@@ -844,7 +844,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the spec's system (Pwr, Fixed, CB-R, CB-P)",
     )
     spec_run.add_argument(
-        "--horizon", type=_horizon, default=None, help="seconds (default: schedule + 60)"
+        "--horizon", type=_positive_float, default=None,
+        help="seconds (default: schedule + 60)",
     )
     spec_run.add_argument(
         "--export", type=str, default=None, help="write the trace to this JSON file"
@@ -863,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dump_parser.add_argument("--seed", type=int, default=0)
     dump_parser.add_argument(
-        "--scale", type=float, default=0.25,
+        "--scale", type=_positive_float, default=0.25,
         help="event-count scale for experiment scenarios",
     )
     dump_parser.add_argument(
@@ -944,18 +945,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp_parser = sub.add_parser(
         "experiment",
-        parents=[
-            _backend_parent(
-                "simulation engine for backend-routable experiments "
-                f"({', '.join(REGISTRY.backend_ids())}; see `repro info`)"
-            ),
-            telemetry_parent,
-        ],
+        parents=[telemetry_parent],
         help="regenerate a paper figure (run-all runs the whole suite)",
     )
     exp_parser.add_argument("name", choices=REGISTRY.ids())
     exp_parser.add_argument("--seed", type=int, default=0)
-    exp_parser.add_argument("--scale", type=float, default=0.25)
+    exp_parser.add_argument("--scale", type=_positive_float, default=0.25)
     exp_parser.set_defaults(func=_cmd_experiment)
 
     run_all_parser = sub.add_parser(
@@ -965,17 +960,13 @@ def build_parser() -> argparse.ArgumentParser:
                 "fault schedule JSON; its worker_crash faults become "
                 "deterministic campaign chaos"
             ),
-            _backend_parent(
-                "simulation engine for the campaign's backend-routable "
-                "experiments; vec routes them through the batching planner"
-            ),
             _jobs_parent("worker processes, >= 1"),
             telemetry_parent,
         ],
         help="run the whole experiment campaign",
     )
     run_all_parser.add_argument("--seed", type=int, default=0)
-    run_all_parser.add_argument("--scale", type=float, default=0.25)
+    run_all_parser.add_argument("--scale", type=_positive_float, default=0.25)
     run_all_parser.add_argument(
         "--serial", action="store_true",
         help="force single-process execution",
@@ -1030,8 +1021,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-client requests/second before 429s (<= 0 disables)",
     )
     serve_parser.add_argument(
-        "--quota-burst", type=float, default=64.0,
-        help="per-client burst allowance (default: 64)",
+        "--quota-burst", type=_finite_float(1.0, inclusive=True),
+        default=64.0, help="per-client burst allowance, >= 1 (default: 64)",
     )
     serve_parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -1044,12 +1035,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="retry-jitter seed"
     )
     serve_parser.add_argument(
-        "--job-ttl", type=float, default=None, metavar="SECONDS",
+        "--job-ttl", type=_positive_float, default=None, metavar="SECONDS",
         help="evict finished jobs after this many seconds "
         "(polling them answers 410; default: keep forever)",
     )
     serve_parser.add_argument(
-        "--batch-window", type=float, default=0.0, metavar="SECONDS",
+        "--batch-window", type=_finite_float(0.0, inclusive=True),
+        default=0.0, metavar="SECONDS",
         help="linger after each dequeue to coalesce queued vec jobs "
         "into one fleet batch (default: 0, no batching)",
     )
@@ -1074,13 +1066,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the spec's system (Pwr, Fixed, CB-R, CB-P)",
     )
     submit_parser.add_argument(
-        "--horizon", type=_horizon, default=None, help="seconds (default: schedule + 60)"
+        "--horizon", type=_positive_float, default=None,
+        help="seconds (default: schedule + 60)",
     )
     submit_parser.add_argument(
         "--client-id", default="cli", help="x-client-id header (quota identity)"
     )
     submit_parser.add_argument(
-        "--timeout", type=float, default=120.0,
+        "--timeout", type=_positive_float, default=120.0,
         help="seconds to wait for completion (default: 120)",
     )
     submit_parser.set_defaults(func=_cmd_submit)

@@ -15,6 +15,10 @@ Three studies that quantify the design decisions DESIGN.md calls out:
    for it wastes its first execution attempt; normally-closed switches
    revert to full capacity (slow but safe).
 
+Studies 1 and 2 are closed-form charge integrals, evaluated as
+:mod:`repro.vec` fleets (``charge_times``); the scalar reference they
+replicate is ``fig03_design_space.charge_time_for_bank``.
+
 Run: ``python -m repro.experiments.ablation``
 """
 
@@ -27,15 +31,13 @@ from repro.device.board import Board
 from repro.device.mcu import MCU_MSP430FR5969
 from repro.device.radio import BLE_CC2650
 from repro.device.sensors import SENSOR_TMP36
-from repro.energy.bank import BankSpec, CapacitorBank
+from repro.energy.bank import BankSpec
 from repro.energy.booster import InputBooster
 from repro.energy.capacitor import CERAMIC_X5R, TANTALUM_POLYMER
 from repro.energy.environment import PiecewiseTrace
 from repro.energy.harvester import SolarPanel
 from repro.energy.switch import BankSwitch, SwitchPolarity
 from repro.energy.threshold import ThresholdReconfigurator
-from repro.errors import ConfigurationError
-from repro.experiments.fig03_design_space import charge_time_for_bank
 from repro.experiments.runner import ExperimentResult, print_result
 from repro.kernel.annotations import ConfigAnnotation
 from repro.kernel.executor import IntermittentExecutor
@@ -51,27 +53,16 @@ from repro.core.builder import PlatformSpec
 def bypass_ablation(
     bank_spec: BankSpec = BankSpec.single("probe", TANTALUM_POLYMER, 4),
     harvest_power: float = 1e-3,
-    backend: str = "scalar",
 ) -> ExperimentResult:
     """Charge-from-empty time with and without the bypass diode."""
-    if backend not in ("scalar", "vec"):
-        raise ConfigurationError(f"unknown backend {backend!r}")
-    if backend == "vec":
-        from repro.vec import charge_times, fleet_from_banks
+    from repro.vec import charge_times, fleet_from_banks
 
-        state = fleet_from_banks(
-            [bank_spec, bank_spec],
-            input_booster=[InputBooster(bypass=True), InputBooster(bypass=False)],
-            harvest_power=harvest_power,
-        )
-        with_bypass, without_bypass = (float(t) for t in charge_times(state))
-    else:
-        with_bypass = charge_time_for_bank(
-            bank_spec, harvest_power, InputBooster(bypass=True)
-        )
-        without_bypass = charge_time_for_bank(
-            bank_spec, harvest_power, InputBooster(bypass=False)
-        )
+    state = fleet_from_banks(
+        [bank_spec, bank_spec],
+        input_booster=[InputBooster(bypass=True), InputBooster(bypass=False)],
+        harvest_power=harvest_power,
+    )
+    with_bypass, without_bypass = (float(t) for t in charge_times(state))
     result = ExperimentResult(
         experiment="ablation-bypass",
         columns=["Configuration", "Cold charge time"],
@@ -92,17 +83,17 @@ def bypass_ablation(
 # 2. Switched banks vs Vtop threshold
 # ---------------------------------------------------------------------------
 
-def mechanism_ablation(
-    harvest_power: float = 1e-3, backend: str = "scalar"
-) -> ExperimentResult:
+def mechanism_ablation(harvest_power: float = 1e-3) -> ExperimentResult:
     """Cold-start comparison of the two reconfiguration mechanisms.
 
     Both must provide a small energy quantum (a sensor task's worth).
     The C-control mechanism charges only its small bank; the threshold
     mechanism hauls the full capacitance up past the booster minimum.
     """
-    if backend not in ("scalar", "vec"):
-        raise ConfigurationError(f"unknown backend {backend!r}")
+    import numpy as np
+
+    from repro.vec import charge_times, fleet_from_banks
+
     small = BankSpec.single("small", CERAMIC_X5R, 4)
     full_array = BankSpec.of_parts(
         "full", [(CERAMIC_X5R, 4), (TANTALUM_POLYMER, 8)]
@@ -110,31 +101,14 @@ def mechanism_ablation(
     threshold = ThresholdReconfigurator(bank_spec=full_array)
     switch = BankSwitch(name="bank1")
 
-    if backend == "vec":
-        import numpy as np
-
-        from repro.vec import charge_times, fleet_from_banks
-
-        state = fleet_from_banks(
-            [small, full_array], harvest_power=harvest_power
-        )
-        # Device 0 charges to the booster target (C control's small
-        # bank); device 1 only needs to reach the Vtop threshold.
-        targets = np.asarray(
-            [state.charge_target[0], threshold.v_top_min]
-        )
-        switched_time, threshold_time = (
-            float(t) for t in charge_times(state, target=targets)
-        )
-    else:
-        # C-control: cold start charges just the default small bank.
-        switched_time = charge_time_for_bank(small, harvest_power)
-        # Vtop-control: the full capacitance must reach at least
-        # v_top_min before the stored energy is usable at all.
-        booster = InputBooster()
-        threshold_time = _charge_bank_to(
-            full_array, threshold.v_top_min, harvest_power, booster
-        )
+    state = fleet_from_banks([small, full_array], harvest_power=harvest_power)
+    # C control: cold start charges just the default small bank to the
+    # booster target.  Vtop control: the full capacitance must reach at
+    # least v_top_min before the stored energy is usable at all.
+    targets = np.asarray([state.charge_target[0], threshold.v_top_min])
+    switched_time, threshold_time = (
+        float(t) for t in charge_times(state, target=targets)
+    )
 
     result = ExperimentResult(
         experiment="ablation-mechanism",
@@ -167,28 +141,6 @@ def mechanism_ablation(
         "half-the-area, two-thirds-the-leakage footprint"
     )
     return result
-
-
-def _charge_bank_to(
-    bank_spec: BankSpec,
-    target: float,
-    harvest_power: float,
-    booster: InputBooster,
-    harvester_voltage: float = 3.0,
-) -> float:
-    bank = CapacitorBank(bank_spec)
-    elapsed = 0.0
-    voltage = 0.0
-    step = target / 200.0
-    while voltage < target - 1e-9:
-        v_next = min(target, voltage + step)
-        power = booster.charge_power(voltage, harvester_voltage, harvest_power)
-        if power <= 0.0:
-            raise ConfigurationError("harvester cannot charge at all")
-        energy = bank_spec.energy_at(v_next) - bank_spec.energy_at(voltage)
-        elapsed += energy / power
-        voltage = v_next
-    return elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +281,13 @@ def polarity_ablation(horizon: float = 2000.0) -> ExperimentResult:
     return result
 
 
-def main(backend: str = "scalar") -> None:
-    print_result(bypass_ablation(backend=backend))
+def main() -> None:
+    print_result(bypass_ablation())
     print()
-    print_result(mechanism_ablation(backend=backend))
+    print_result(mechanism_ablation())
     print()
     # The polarity study runs full intermittent-app simulations with a
-    # time-varying (piecewise) harvester — scalar-engine territory on
-    # every backend (see `repro info`).
+    # time-varying (piecewise) harvester on the scalar engine.
     print_result(polarity_ablation())
 
 

@@ -11,6 +11,12 @@ The paper's curve spans roughly 0-4 Mops over 100 uF - 10 mF; we also
 report the recharge time at each point — the reactivity cost that
 motivates reconfigurability.
 
+The whole grid runs as one :mod:`repro.vec` fleet.  The scalar
+integrators below (:func:`atomicity_for_bank`,
+:func:`charge_time_for_bank`) are the per-bank references the vec
+sweeps replicate step for step; the differential tests pin the two
+against each other on the exact Figure 3 grid.
+
 Run: ``python -m repro.experiments.fig03_design_space``
 """
 
@@ -25,8 +31,6 @@ from repro.device.mcu import MCU_MSP430FR5969, MCUModel
 from repro.energy.bank import BankSpec, CapacitorBank
 from repro.energy.booster import InputBooster, OutputBooster
 from repro.energy.capacitor import CapacitorSpec, TANTALUM_POLYMER
-from repro.errors import ConfigurationError
-from repro.experiments.parallel import parallel_map
 from repro.experiments.runner import ExperimentResult, print_result
 
 
@@ -62,14 +66,16 @@ def charge_time_for_bank(
     harvest_power: float = 1.0e-3,
     input_booster: InputBooster = InputBooster(),
     harvester_voltage: float = 3.0,
+    target: Optional[float] = None,
 ) -> float:
     """Seconds to charge the bank from empty at *harvest_power*.
 
     Integrates the charging paths (bypass, cold start, efficiency ramp)
-    in small voltage steps.
+    in small voltage steps up to *target* (default: the booster's charge
+    target, capped at the bank's rating).
     """
-    bank = CapacitorBank(bank_spec)
-    target = min(input_booster.v_charge_target, bank_spec.rated_voltage)
+    if target is None:
+        target = min(input_booster.v_charge_target, bank_spec.rated_voltage)
     elapsed = 0.0
     voltage = 0.0
     step = target / 200.0
@@ -105,16 +111,6 @@ def _scaled_bank(part: CapacitorSpec, capacitance: float) -> BankSpec:
     return BankSpec.single(f"sweep-{capacitance * 1e6:.0f}uF", scaled)
 
 
-def _design_point(capacitance: float, harvest_power: float) -> DesignPoint:
-    """One grid point of the capacitance sweep; pool worker entry."""
-    bank = _scaled_bank(TANTALUM_POLYMER, capacitance)
-    return DesignPoint(
-        capacitance=capacitance,
-        atomicity_ops=atomicity_for_bank(bank),
-        charge_time=charge_time_for_bank(bank, harvest_power=harvest_power),
-    )
-
-
 def _vec_curve(
     capacitances: List[float], harvest_power: float
 ) -> List[DesignPoint]:
@@ -138,17 +134,8 @@ def run(
     c_min: float = 100e-6,
     c_max: float = 10e-3,
     harvest_power: float = 1.0e-3,
-    jobs: Optional[int] = None,
-    backend: str = "scalar",
 ) -> Tuple[ExperimentResult, List[DesignPoint]]:
-    """Sweep capacitance logarithmically and measure both axes.
-
-    Grid points are independent: ``backend="scalar"`` fans them out over
-    the parallel runner, ``backend="vec"`` evaluates the whole grid as
-    one :mod:`repro.vec` fleet (same integrators, array arithmetic).
-    """
-    if backend not in ("scalar", "vec"):
-        raise ConfigurationError(f"unknown backend {backend!r}")
+    """Sweep capacitance logarithmically and measure both axes."""
     capacitances = [
         float(c) for c in np.logspace(np.log10(c_min), np.log10(c_max), points)
     ]
@@ -156,15 +143,7 @@ def run(
         experiment="fig03-design-space",
         columns=["Capacitance (uF)", "Atomicity (Mops)", "Charge time (s)"],
     )
-    if backend == "vec":
-        curve = _vec_curve(capacitances, harvest_power)
-    else:
-        curve = parallel_map(
-            _design_point,
-            [(capacitance, harvest_power) for capacitance in capacitances],
-            jobs=jobs,
-            labels=[f"{capacitance * 1e6:.0f}uF" for capacitance in capacitances],
-        )
+    curve = _vec_curve(capacitances, harvest_power)
     for capacitance, point in zip(capacitances, curve):
         charge = point.charge_time
         key = f"{capacitance * 1e6:.0f}uF"
@@ -184,8 +163,8 @@ def run(
     return result, curve
 
 
-def main(backend: str = "scalar") -> ExperimentResult:
-    result, _ = run(backend=backend)
+def main() -> ExperimentResult:
+    result, _ = run()
     print_result(result)
     return result
 

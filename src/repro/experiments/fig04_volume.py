@@ -13,20 +13,23 @@ paralleled one part at a time.  Two observations must reproduce:
    early parts pay off disproportionately and the curve's slope decays
    toward linear.
 
+The whole (technology, part count) grid runs as one :mod:`repro.vec`
+fleet; :func:`atomicity_by_parts` is the per-bank scalar reference the
+differential tests pin it against.
+
 Run: ``python -m repro.experiments.fig04_volume``
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.device.mcu import MCU_MSP430FR5969, MCUModel
 from repro.energy.bank import BankSpec, CapacitorBank
 from repro.energy.booster import OutputBooster
 from repro.energy.capacitor import CERAMIC_X5R, EDLC_CPH3225A, CapacitorSpec
-from repro.errors import ConfigurationError, PowerSystemError
-from repro.experiments.parallel import parallel_map
+from repro.errors import PowerSystemError
 from repro.experiments.runner import ExperimentResult, print_result
 
 
@@ -65,13 +68,6 @@ def atomicity_by_parts(
     return seconds * mcu.op_rate / 1e6
 
 
-def _volume_point(label: str, part: CapacitorSpec, count: int) -> VolumePoint:
-    """One (technology, part count) grid point; pool worker entry."""
-    return VolumePoint(
-        label, count, part.volume * count * 1e9, atomicity_by_parts(part, count)
-    )
-
-
 def _vec_points(grid) -> List[VolumePoint]:
     """The whole (technology, count) grid as one vectorized fleet."""
     from repro.vec import atomicity_ops, fleet_from_banks
@@ -88,19 +84,8 @@ def _vec_points(grid) -> List[VolumePoint]:
     ]
 
 
-def run(
-    max_parts: int = 8,
-    jobs: Optional[int] = None,
-    backend: str = "scalar",
-) -> ExperimentResult:
-    """Sweep part count for both technologies.
-
-    Every (technology, count) point is independent: ``backend="scalar"``
-    fans the grid out over the parallel runner, ``backend="vec"``
-    evaluates it as one :mod:`repro.vec` fleet.
-    """
-    if backend not in ("scalar", "vec"):
-        raise ConfigurationError(f"unknown backend {backend!r}")
+def run(max_parts: int = 8) -> ExperimentResult:
+    """Sweep part count for both technologies."""
     result = ExperimentResult(
         experiment="fig04-volume",
         columns=["Technology", "Parts", "Volume (mm^3)", "Atomicity (Mops)"],
@@ -110,15 +95,7 @@ def run(
         for label, part in (("ceramic", CERAMIC_X5R), ("supercap", EDLC_CPH3225A))
         for count in range(1, max_parts + 1)
     ]
-    if backend == "vec":
-        points = _vec_points(grid)
-    else:
-        points = parallel_map(
-            _volume_point,
-            grid,
-            jobs=jobs,
-            labels=[f"{label}-x{count}" for label, _, count in grid],
-        )
+    points = _vec_points(grid)
     curves: Dict[str, List[VolumePoint]] = {"ceramic": [], "supercap": []}
     for point in points:
         curves[point.technology].append(point)
@@ -146,8 +123,8 @@ def run(
     return result
 
 
-def main(backend: str = "scalar") -> ExperimentResult:
-    result = run(backend=backend)
+def main() -> ExperimentResult:
+    result = run()
     print_result(result)
     return result
 

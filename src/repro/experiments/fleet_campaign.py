@@ -5,16 +5,12 @@ environment) maps onto the campaign planner directly: one
 :class:`~repro.experiments.plan.CampaignJob` per (power scale, system)
 grid point, planned into cohorts and executed through
 :func:`~repro.experiments.plan.execute_plan`.  The figure of merit is
-the same duty-cycle availability the vec power sweep reports — Fixed's
-hardwired union bank starves at low harvest while the reactive small
-(sense) mode degrades gracefully.
+duty-cycle availability — Fixed's hardwired union bank starves at low
+harvest while the reactive small (sense) mode degrades gracefully.
 
-The ``--backend`` flag selects the execution *route*, not the model:
-``vec`` runs the plan's cohorts as full batches, ``scalar`` forces
-every job into its own batch of one (``shard_size=1``).  Both routes
-split out bit-identical per-job payloads, so the printed table is
-byte-for-byte the same — which is exactly what makes this experiment
-the planner's end-to-end differential check.
+The plan's cohorts run as full batches.  A batch splits out per-job
+payloads bit-identical to batches of one (``shard_size=1``), which
+``tests/test_plan.py`` pins.
 """
 
 from __future__ import annotations
@@ -78,20 +74,13 @@ def build_jobs(seed: int = 0, scale: float = 1.0):
     return jobs
 
 
-def main(seed: int = 0, scale: float = 1.0, backend: str = "scalar") -> None:
+def main(seed: int = 0, scale: float = 1.0) -> None:
     """Plan and execute the fleet campaign; print the availability table."""
     from repro.experiments.plan import execute_plan, plan_campaign
 
     jobs = build_jobs(seed=seed, scale=scale)
     plan = plan_campaign(jobs)
-    executed = execute_plan(
-        plan,
-        jobs=1,
-        collect=False,
-        # vec: cohorts run as full batches; scalar: every job is a batch
-        # of one.  Payloads are bit-identical either way.
-        shard_size=None if backend == "vec" else 1,
-    )
+    executed = execute_plan(plan, jobs=1, collect=False)
 
     result = ExperimentResult(
         experiment="fleet",
@@ -112,9 +101,5 @@ def main(seed: int = 0, scale: float = 1.0, backend: str = "scalar") -> None:
         f"campaign: {stats['jobs']} jobs, {stats['cohorts']} cohort(s), "
         f"batched fraction {stats['batched_fraction']:.2f} over "
         f"{HORIZON:.0f}s at dt={DT}s"
-    )
-    result.notes.append(
-        "duty-cycle availability per grid point; identical output on "
-        "either --backend (route differs, bits do not)"
     )
     print_result(result)

@@ -41,7 +41,6 @@ from repro.device.mcu import MCU_MSP430FR5969
 from repro.device.radio import BLE_CC2650
 from repro.device.sensors import SENSOR_TMP36
 from repro.energy.harvester import ScaledHarvester
-from repro.errors import ConfigurationError
 from repro.experiments import metrics
 from repro.experiments.parallel import ParallelReport, parallel_map
 from repro.experiments.runner import ExperimentResult, percent, print_result
@@ -114,18 +113,14 @@ def _accuracy_from_traces(dut: Trace, reference: Trace) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized path (backend="vec")
+# The same grid as one vec fleet (the kernel benchmarks' device grid)
 # ---------------------------------------------------------------------------
 
-#: Systems the vec sweep compares.  CONTINUOUS is a tethered reference
+#: Systems the vec grid holds.  CONTINUOUS is a tethered reference
 #: with no reservoir dynamics, so the fleet model has nothing to say
 #: about it; FIXED simulates the soldered-down union bank and CAPY_P
 #: its reactive small mode.
 VEC_KINDS = (SystemKind.FIXED, SystemKind.CAPY_P)
-
-#: Fixed-timestep resolution and horizon of the vec duty-cycle runs.
-VEC_DT = 0.05
-VEC_HORIZON = 900.0
 
 
 def build_vec_fleet(scales: Sequence[float], replicates: int = 1):
@@ -170,62 +165,13 @@ def build_vec_fleet(scales: Sequence[float], replicates: int = 1):
     return state, labels
 
 
-def run_vec(
-    scales: Sequence[float] = DEFAULT_SCALES,
-    horizon: float = VEC_HORIZON,
-    dt: float = VEC_DT,
-) -> PowerSweepData:
-    """Duty-cycle availability sweep on the vectorized fleet backend.
-
-    The scalar sweep measures end-to-end alarm accuracy through full
-    app simulations; the vec backend abstracts the workload to a
-    constant MCU load, so its figure of merit is the *duty-cycle
-    availability* — the fraction of the horizon each device spends
-    powered and computing.  The expected shape is the same: Fixed's
-    availability collapses as power starves while the reactive small
-    mode degrades gracefully.
-    """
-    from repro.vec import FleetKernel
-
-    state, _labels = build_vec_fleet(scales)
-    FleetKernel(state).run(horizon, dt=dt)
-
-    result = ExperimentResult(
-        experiment="power-sweep",
-        columns=["HarvestScale", "System", "OnFraction", "Brownouts"],
-    )
-    result.notes.append(
-        f"backend=vec: duty-cycle availability over {horizon:.0f}s at "
-        f"dt={dt}s (constant-load proxy; accuracy needs the scalar engine)"
-    )
-    series: Dict[str, List[float]] = {kind.value: [] for kind in VEC_KINDS}
-    index = 0
-    for scale in scales:
-        for kind in VEC_KINDS:
-            on_fraction = float(state.on_seconds[index]) / horizon
-            brownouts = int(state.brownouts[index])
-            series[kind.value].append(on_fraction)
-            result.values[f"{scale}/{kind.value}/on_fraction"] = on_fraction
-            result.values[f"{scale}/{kind.value}/brownouts"] = float(brownouts)
-            result.rows.append(
-                [f"{scale:g}x", kind.value, percent(on_fraction), str(brownouts)]
-            )
-            index += 1
-    return PowerSweepData(result=result, series=series)
-
-
 def run(
     seed: int = 0,
     event_count: int = 12,
     scales: Sequence[float] = DEFAULT_SCALES,
     jobs: Optional[int] = None,
     report: Optional[ParallelReport] = None,
-    backend: str = "scalar",
 ) -> PowerSweepData:
-    if backend not in ("scalar", "vec"):
-        raise ConfigurationError(f"unknown backend {backend!r}")
-    if backend == "vec":
-        return run_vec(scales=scales)
     grid = [
         (seed, event_count, scale, kind) for scale in scales for kind in KINDS
     ]
@@ -261,8 +207,8 @@ def run(
     return PowerSweepData(result=result, series=series)
 
 
-def main(seed: int = 0, backend: str = "scalar") -> ExperimentResult:
-    data = run(seed=seed, backend=backend)
+def main(seed: int = 0) -> ExperimentResult:
+    data = run(seed=seed)
     print_result(data.result)
     return data.result
 

@@ -48,9 +48,6 @@ class Experiment:
     runner: ExperimentRunner
     uses_seed: bool = False
     uses_scale: bool = False
-    #: Whether the runner accepts a ``backend=`` keyword ("scalar" or
-    #: "vec"); experiments without it reject any non-default backend.
-    uses_backend: bool = False
     #: Whether ``run_all`` includes this experiment (CLI-only entries
     #: like the standalone fig08/fig09 halves of the campaign job set
     #: this False).
@@ -66,21 +63,13 @@ class Experiment:
     #: every experiment stays a pure function of its own inputs.
     after: Tuple[str, ...] = ()
 
-    def params(
-        self, seed: int, scale: float, backend: str = "scalar"
-    ) -> Dict[str, object]:
-        """The cache-key parameters this experiment actually depends on.
-
-        The backend joins the key only when it deviates from the scalar
-        default, so pre-existing cached results stay addressable.
-        """
+    def params(self, seed: int, scale: float) -> Dict[str, object]:
+        """The cache-key parameters this experiment actually depends on."""
         params: Dict[str, object] = {}
         if self.uses_seed:
             params["seed"] = seed
         if self.uses_scale:
             params["scale"] = scale
-        if self.uses_backend and backend != "scalar":
-            params["backend"] = backend
         return params
 
     def spec_hash(self, seed: int, scale: float) -> Optional[str]:
@@ -118,7 +107,6 @@ class ExperimentRegistry:
         *,
         uses_seed: bool = False,
         uses_scale: bool = False,
-        uses_backend: bool = False,
         in_suite: bool = True,
         scenarios: Optional[ScenarioFactory] = None,
         after: Tuple[str, ...] = (),
@@ -133,7 +121,6 @@ class ExperimentRegistry:
                     runner=runner,
                     uses_seed=uses_seed,
                     uses_scale=uses_scale,
-                    uses_backend=uses_backend,
                     in_suite=in_suite,
                     scenarios=scenarios,
                     after=tuple(after),
@@ -174,11 +161,6 @@ class ExperimentRegistry:
         self._ensure_catalogue()
         return [exp for exp in self._experiments.values() if exp.in_suite]
 
-    def backend_ids(self) -> List[str]:
-        """Ids of the experiments that route ``--backend`` (``uses_backend``)."""
-        self._ensure_catalogue()
-        return [e.job_id for e in self._experiments.values() if e.uses_backend]
-
     def __contains__(self, job_id: str) -> bool:
         self._ensure_catalogue()
         return job_id in self._experiments
@@ -210,34 +192,22 @@ def run_experiment(
     seed: int = 0,
     scale: float = 1.0,
     telemetry: Optional[Telemetry] = None,
-    backend: str = "scalar",
 ) -> str:
     """Run one registered experiment and return its printed output.
 
     The public facade entry point (``from repro import run_experiment``).
     When *telemetry* is given, the run executes inside a
     :func:`~repro.observability.telemetry_scope` so every instrumented
-    component reports into it.  *backend* selects the simulation engine
-    for experiments that declare ``uses_backend`` (grid-shaped sweeps);
-    asking any other experiment for a non-scalar backend is an error,
-    never a silent fallback.
+    component reports into it.
 
     Raises:
         KeyError: for unknown experiment names.
-        ConfigurationError: for a backend the experiment doesn't route.
     """
     exp = get_experiment(name)
-    if backend != "scalar" and not exp.uses_backend:
-        raise ConfigurationError(
-            f"experiment {name!r} has no {backend!r} backend; "
-            f"backend-routable experiments: "
-            f"{REGISTRY.backend_ids()}"
-        )
-    kwargs = {"backend": backend} if exp.uses_backend else {}
     if telemetry is None:
-        return exp.runner(seed, scale, **kwargs)
+        return exp.runner(seed, scale)
     with telemetry_scope(telemetry):
-        text = exp.runner(seed, scale, **kwargs)
+        text = exp.runner(seed, scale)
     # Baseline metrics so even purely analytic experiments (fig03, fig04)
     # produce a non-empty metrics export.  Both values are deterministic.
     if telemetry.enabled:

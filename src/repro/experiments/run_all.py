@@ -47,7 +47,7 @@ the same analysis from a checkpoint file alone.
 
 Run: ``python -m repro.experiments.run_all [--scale S] [--seed N]
 [--jobs J | --serial] [--no-cache] [--clear-cache]
-[--inject faults.json] [--backend vec]
+[--inject faults.json]
 [--metrics-out metrics.jsonl] [--trace-out trace.jsonl]`` — the same
 parser as ``repro run-all``, but at paper scale (``--scale 1.0``) by
 default.
@@ -92,23 +92,19 @@ CHECKPOINT_NAME = "campaign.ckpt"
 JobPayload = Tuple[str, Optional[Dict[str, object]]]
 
 
-def _run_job(
-    job_id: str, seed: int, scale: float, collect: bool, backend: str = "scalar"
-) -> JobPayload:
+def _run_job(job_id: str, seed: int, scale: float, collect: bool) -> JobPayload:
     """Pool worker entry point (only plain data crosses processes).
 
     When *collect* is set the job runs inside a fresh telemetry scope so
     every instrumented component (engine, reservoir, executors) reports
-    into a snapshot the parent can merge.  *backend* reaches only the
-    experiments that declare ``uses_backend``.
+    into a snapshot the parent can merge.
     """
     exp = get_experiment(job_id)
-    kwargs = {"backend": backend} if exp.uses_backend else {}
     if not collect:
-        return exp.runner(seed, scale, **kwargs), None
+        return exp.runner(seed, scale), None
     telemetry = Telemetry()
     with telemetry_scope(telemetry):
-        text = exp.runner(seed, scale, **kwargs)
+        text = exp.runner(seed, scale)
     return text, telemetry.snapshot()
 
 
@@ -155,7 +151,6 @@ def main(
     trace_out: Optional[Path] = None,
     inject: Optional[Path] = None,
     retry: Optional[RetryPolicy] = None,
-    backend: str = "scalar",
     on_error: str = "capture",
     chaos=None,
 ) -> None:
@@ -179,9 +174,6 @@ def main(
             hash joins every cache key.
         retry: retry policy for failed experiments (default: 3 attempts
             with backoff, jitter seeded by *seed*).
-        backend: simulation engine for the grid-shaped experiments that
-            declare ``uses_backend`` ("scalar" or "vec"); the rest of
-            the suite always runs on the scalar engine.
         on_error: ``"capture"`` (default) degrades a permanently failed
             experiment into an error row and blocks its dependents;
             ``"raise"`` aborts the campaign at the first permanent
@@ -192,8 +184,6 @@ def main(
     """
     if jobs is not None and jobs < 1:
         raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
-    if backend not in ("scalar", "vec"):
-        raise ConfigurationError(f"--backend must be scalar or vec, got {backend!r}")
     for flag, path in (("--metrics-out", metrics_out), ("--trace-out", trace_out)):
         if path is not None and not Path(path).parent.is_dir():
             raise ConfigurationError(
@@ -233,7 +223,7 @@ def main(
     keys: Dict[str, str] = {
         job.job_id: result_key(
             job.job_id,
-            job.params(seed, scale, backend),
+            job.params(seed, scale),
             spec_hash=job.spec_hash(seed, scale),
             fault_hash=fault_hash,
         )
@@ -245,7 +235,6 @@ def main(
         f"# Capybara evaluation suite (seed={seed}, scale={scale}, "
         f"jobs={jobs}, cache={'on' if use_cache else 'off'}, "
         f"telemetry={'on' if collect else 'off'}"
-        + (f", backend={backend}" if backend != "scalar" else "")
         + (f", chaos={chaos.mode}x{chaos.max_crashes}" if chaos is not None else "")
         + ")"
     )
@@ -324,7 +313,7 @@ def main(
                 dag,
                 _run_job,
                 {
-                    job.job_id: (job.job_id, seed, scale, collect, backend)
+                    job.job_id: (job.job_id, seed, scale, collect)
                     for job in pending
                 },
                 pool=pool,

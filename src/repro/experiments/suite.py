@@ -44,20 +44,18 @@ def fig02(seed: int, scale: float) -> str:
     return _capture(fig02_fixed_capacity.main, horizon=600.0)
 
 
-@experiment("fig03", "Figure 3: atomicity vs capacitance", uses_backend=True)
-def fig03(seed: int, scale: float, backend: str = "scalar") -> str:
+@experiment("fig03", "Figure 3: atomicity vs capacitance")
+def fig03(seed: int, scale: float) -> str:
     from repro.experiments import fig03_design_space
 
-    return _capture(fig03_design_space.main, backend=backend)
+    return _capture(fig03_design_space.main)
 
 
-@experiment(
-    "fig04", "Figure 4: atomicity by volume and technology", uses_backend=True
-)
-def fig04(seed: int, scale: float, backend: str = "scalar") -> str:
+@experiment("fig04", "Figure 4: atomicity by volume and technology")
+def fig04(seed: int, scale: float) -> str:
     from repro.experiments import fig04_volume
 
-    return _capture(fig04_volume.main, backend=backend)
+    return _capture(fig04_volume.main)
 
 
 @experiment(
@@ -143,17 +141,16 @@ def capysat(seed: int, scale: float) -> str:
 @experiment(
     "ablation",
     "Section 5 ablations",
-    uses_backend=True,
     # Interpretation order: the ablations discuss deltas against the
     # input-power sweep's operating points, so schedule them after it.
     # Scheduling metadata only — results are pure functions of their
     # arguments, so the dependency never touches cache keys.
     after=("power-sweep",),
 )
-def ablation(seed: int, scale: float, backend: str = "scalar") -> str:
+def ablation(seed: int, scale: float) -> str:
     from repro.experiments import ablation as module
 
-    return _capture(module.main, backend=backend)
+    return _capture(module.main)
 
 
 @experiment("debs", "Related work: DEBS comparison", uses_seed=True)
@@ -170,16 +167,11 @@ def checkpoint(seed: int, scale: float) -> str:
     return _capture(checkpoint_study.main)
 
 
-@experiment(
-    "power-sweep",
-    "Related work: input-power sweep",
-    uses_seed=True,
-    uses_backend=True,
-)
-def power_sweep(seed: int, scale: float, backend: str = "scalar") -> str:
+@experiment("power-sweep", "Related work: input-power sweep", uses_seed=True)
+def power_sweep(seed: int, scale: float) -> str:
     from repro.experiments import power_sweep as module
 
-    return _capture(module.main, seed=seed, backend=backend)
+    return _capture(module.main, seed=seed)
 
 
 def _fleet_scenarios(seed: int, scale: float):
@@ -193,16 +185,15 @@ def _fleet_scenarios(seed: int, scale: float):
     "Fleet campaign: planner-batched duty-cycle availability",
     uses_seed=True,
     uses_scale=True,
-    uses_backend=True,
     scenarios=_fleet_scenarios,
     # The fleet duty-cycle points extend the sweep's power grid; like
     # the ablations this orders interpretation, not data flow.
     after=("power-sweep",),
 )
-def fleet(seed: int, scale: float, backend: str = "scalar") -> str:
+def fleet(seed: int, scale: float) -> str:
     from repro.experiments import fleet_campaign
 
-    return _capture(fleet_campaign.main, seed=seed, scale=scale, backend=backend)
+    return _capture(fleet_campaign.main, seed=seed, scale=scale)
 
 
 @experiment("versatility", "Related work: versatility study", uses_seed=True)

@@ -56,6 +56,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -89,7 +90,6 @@ class ServiceConfig:
     #: Result-cache directory (a ``str`` is converted to a ``Path``).
     cache_dir: Optional[Path] = None
     use_cache: bool = True
-    collect: bool = True
     retry: Optional[RetryPolicy] = None
     chaos: Optional[WorkerChaos] = None
     #: Seconds a terminal (done/failed) job stays pollable before the
@@ -110,13 +110,17 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"queue_limit must be >= 1, got {self.queue_limit}"
             )
-        if self.job_ttl is not None and self.job_ttl <= 0:
+        if self.job_ttl is not None and not (
+            math.isfinite(self.job_ttl) and self.job_ttl > 0
+        ):
             raise ConfigurationError(
-                f"job_ttl must be > 0 seconds (or None), got {self.job_ttl}"
+                f"job_ttl must be finite and > 0 seconds (or None), "
+                f"got {self.job_ttl}"
             )
-        if self.batch_window < 0:
+        if not (math.isfinite(self.batch_window) and self.batch_window >= 0):
             raise ConfigurationError(
-                f"batch_window must be >= 0 seconds, got {self.batch_window}"
+                f"batch_window must be finite and >= 0 seconds, "
+                f"got {self.batch_window}"
             )
 
 
@@ -283,7 +287,8 @@ class ServiceApp:
                 payloads, timing = await asyncio.to_thread(
                     self.pool.run_task,
                     run_plan_task,
-                    (kind, tasks, self.config.collect),
+                    # collect=True: every payload carries its telemetry.
+                    (kind, tasks, True),
                     label,
                     self.config.retry,
                     self.config.chaos,

@@ -91,14 +91,34 @@ class TestArgValidation:
             ["submit", "--spec", "s.json", "--horizon", "-5"],
             ["submit", "--spec", "s.json", "--horizon", "inf"],
             ["submit", "--spec", "s.json", "--horizon", "0"],
+            ["submit", "--spec", "s.json", "--timeout", "nan"],
+            ["submit", "--spec", "s.json", "--timeout", "-1"],
+            ["experiment", "fig08", "--scale", "nan"],
+            ["experiment", "fig08", "--scale", "-1"],
+            ["experiment", "fig08", "--scale", "0"],
+            ["run-all", "--scale", "nan"],
+            ["run-all", "--scale", "-1"],
+            ["run-all", "--scale", "inf"],
+            ["spec", "dump", "fig08", "--scale", "nan"],
+            ["spec", "dump", "fig08", "--scale", "-1"],
+            ["serve", "--job-ttl", "-1"],
+            ["serve", "--job-ttl", "nan"],
+            ["serve", "--batch-window", "-1"],
+            ["serve", "--batch-window", "inf"],
+            ["serve", "--quota-burst", "-5"],
+            ["serve", "--quota-burst", "nan"],
         ],
         ids=lambda argv: "-".join(argv[:1] + argv[-2:]),
     )
     def test_bad_run_inputs_are_usage_errors(self, argv, monkeypatch, capsys):
-        """A NaN, infinite or non-positive horizon (and a non-positive
-        event count) exits 2 before any simulation or request starts."""
+        """A NaN, infinite or out-of-range number (horizon, event count,
+        scale, timeout, service TTL/window/burst) exits 2 before any
+        simulation, request or server starts."""
         import urllib.request
 
+        import repro.experiments.registry
+        import repro.experiments.run_all
+        import repro.service.http
         import repro.service.runner
 
         def forbidden(*args, **kwargs):
@@ -106,6 +126,11 @@ class TestArgValidation:
 
         monkeypatch.setattr(repro.service.runner, "run_scenario_job", forbidden)
         monkeypatch.setattr(urllib.request, "urlopen", forbidden)
+        monkeypatch.setattr(
+            repro.experiments.registry, "run_experiment", forbidden
+        )
+        monkeypatch.setattr(repro.experiments.run_all, "main", forbidden)
+        monkeypatch.setattr(repro.service.http, "run_service", forbidden)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -305,23 +330,17 @@ class TestUnifiedVerbs:
         assert repro.__api_version__ in out
         assert "scalar" in out
 
-    def test_info_lists_the_backend_routable_experiments(self, capsys):
-        from repro.experiments.registry import REGISTRY
-
+    def test_info_advertises_no_experiment_backend(self, capsys):
+        """`--backend` picks a scenario's engine on `run`, `submit` and
+        `info --check` only; `info` names no experiment route."""
         assert main(["info"]) == 0
-        line = next(
-            line
-            for line in capsys.readouterr().out.splitlines()
-            if line.startswith("routable experiments")
-        )
-        listed = line.split(": ", 1)[1].split(", ")
-        expected = [exp.job_id for exp in REGISTRY.all() if exp.uses_backend]
-        assert listed == expected
-        experiment = build_parser()._subparsers._group_actions[0].choices[
-            "experiment"
-        ]
-        backend = next(a for a in experiment._actions if a.dest == "backend")
-        assert f"({', '.join(expected)}; see" in backend.help
+        out = capsys.readouterr().out
+        assert "repro experiment" not in out and "run-all" not in out
+        verbs = build_parser()._subparsers._group_actions[0].choices
+        for verb in ("experiment", "run-all"):
+            assert all(a.dest != "backend" for a in verbs[verb]._actions), verb
+        for verb in ("run", "submit", "info"):
+            assert any(a.dest == "backend" for a in verbs[verb]._actions), verb
 
     def test_vec_info_verb_removed(self, capsys):
         # `info` prints the matrix (test_info_reports_api_version,
@@ -381,12 +400,12 @@ class TestRunAllVerb:
     def test_parses_with_campaign_flags(self):
         args = build_parser().parse_args(
             [
-                "run-all", "--backend", "vec", "--jobs", "3",
+                "run-all", "--jobs", "3",
                 "--scale", "0.5", "--inject", "f.json", "--no-cache",
             ]
         )
         assert args.command == "run-all"
-        assert args.backend == "vec" and args.jobs == 3
+        assert args.jobs == 3
         assert args.scale == 0.5 and args.inject == "f.json"
         assert args.no_cache is True
 
@@ -399,9 +418,9 @@ class TestRunAllVerb:
             seen.update(kwargs)
 
         monkeypatch.setattr(run_all, "main", fake_main)
-        code = main(["run-all", "--backend", "vec", "--serial"])
+        code = main(["run-all", "--serial"])
         assert code == 0
-        assert seen["backend"] == "vec"
+        assert "backend" not in seen
         assert seen["jobs"] == 1  # --serial forces one worker
 
     def test_resume_flag_is_a_usage_error(self, capsys):
@@ -420,14 +439,24 @@ class TestRunAllVerb:
             ["--no-cache"],
             ["--clear-cache"],
             ["--resume"],
+            ["--backend", "vec"],
         ],
         ids=lambda flags: flags[0],
     )
     def test_campaign_flags_are_usage_errors_on_experiment(self, flags, capsys):
         """`experiment NAME` runs one figure; campaign flags belong to
-        `run-all` and must not be accepted and then ignored."""
+        `run-all` and must not be accepted and then ignored.  No
+        experiment takes `--backend`: each has one route."""
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "fig03", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ["vec", "scalar"])
+    def test_backend_flag_is_a_usage_error_on_run_all(self, backend, capsys):
+        """The campaign runs every experiment on its one route."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run-all", "--backend", backend])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -441,10 +470,8 @@ class TestRunAllVerb:
         assert defaults.job_ttl is None and defaults.batch_window == 0.0
 
     def test_fleet_experiment_is_registered(self):
-        args = build_parser().parse_args(
-            ["experiment", "fleet", "--backend", "vec"]
-        )
-        assert args.name == "fleet" and args.backend == "vec"
+        args = build_parser().parse_args(["experiment", "fleet"])
+        assert args.name == "fleet"
 
 
 class TestRunAllModule:

@@ -367,5 +367,5 @@ def test_experiment_after_never_joins_cache_params():
     exp = get_experiment("ablation")
     assert exp.after == ("power-sweep",)
     stripped = dataclasses.replace(exp, after=())
-    assert exp.params(0, 1.0, "scalar") == stripped.params(0, 1.0, "scalar")
+    assert exp.params(0, 1.0) == stripped.params(0, 1.0)
     assert exp.spec_hash(0, 1.0) == stripped.spec_hash(0, 1.0)

@@ -2,6 +2,7 @@
 paper's qualitative shapes at reduced scale."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,13 @@ from repro.experiments import (
     fig03_design_space,
     fig04_volume,
 )
+from repro.experiments.registry import run_experiment
 from repro.experiments.runner import ExperimentResult, format_table, percent
+
+#: Committed stdout of ``repro experiment NAME`` for the closed-form
+#: sweeps.  Regenerate one (only for a deliberate model change) with
+#: ``PYTHONPATH=src python -m repro.cli experiment NAME > tests/golden/experiments/NAME.txt``.
+EXPERIMENT_GOLDENS = Path(__file__).parent / "golden" / "experiments"
 
 
 class TestRunnerUtilities:
@@ -138,3 +145,10 @@ class TestCapySatStudy:
 
     def test_splitter_ratio(self, data):
         assert data.result.value("splitter_ratio") == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("name", ["fig03", "fig04", "ablation"])
+def test_closed_form_experiment_output_matches_golden(name):
+    """The closed-form sweeps' printed tables, byte for byte."""
+    golden = (EXPERIMENT_GOLDENS / f"{name}.txt").read_text()
+    assert run_experiment(name) == golden

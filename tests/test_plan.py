@@ -176,14 +176,6 @@ class TestBitIdentity:
         assert batched.results == solo.results
         assert batched.keys == solo.keys
 
-    def test_fleet_experiment_output_identical_on_both_backends(self):
-        from repro.experiments.registry import run_experiment
-
-        scalar = run_experiment("fleet", seed=0, scale=0.4, backend="scalar")
-        vec = run_experiment("fleet", seed=0, scale=0.4, backend="vec")
-        assert scalar == vec
-        assert "fleet" in scalar
-
     def test_mixed_plan_keeps_original_job_order(self):
         jobs = _vec_jobs(2)
         scalar = CampaignJob(

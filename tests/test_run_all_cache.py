@@ -185,41 +185,13 @@ def _experiment_section(out):
     return body.split("\n\n", 1)[0]
 
 
-def test_run_all_vec_route_is_bit_identical_to_scalar(
-    fleet_registry, tmp_cache
-):
-    """``run-all --backend vec`` must print and cache exactly the bytes
-    the scalar route does for the fleet campaign — the planner changes
-    the execution shape, never the result."""
-    from repro.experiments.cache import result_key
-
-    scalar_out = _run(tmp_cache.root, backend="scalar")
-    vec_out = _run(tmp_cache.root, backend="vec")
-    assert _experiment_section(scalar_out) == _experiment_section(vec_out)
-
-    fleet = fleet_registry.get("fleet")
-
-    def cached_text(backend):
-        key = result_key(
-            "fleet",
-            fleet.params(0, 0.05, backend),
-            spec_hash=fleet.spec_hash(0, 0.05),
-        )
-        payload = tmp_cache.get(key)
-        assert payload is not None, f"no cache entry for backend={backend}"
-        return payload[0]
-
-    assert cached_text("scalar") == cached_text("vec")
-
-
 def test_run_all_vec_route_survives_worker_chaos(fleet_registry, tmp_cache):
     """Deterministic worker crashes below the retry budget leave the
-    batched campaign's output bit-identical to an undisturbed run."""
+    fleet campaign's output — its cohorts run as full vec batches —
+    bit-identical to an undisturbed run."""
     import pathlib
 
     inject = pathlib.Path(__file__).parent / "golden" / "faults" / "worker_crash.json"
-    clean = _run(tmp_cache.root, backend="vec", use_cache=False)
-    chaotic = _run(
-        tmp_cache.root, backend="vec", use_cache=False, inject=inject
-    )
+    clean = _run(tmp_cache.root, use_cache=False)
+    chaotic = _run(tmp_cache.root, use_cache=False, inject=inject)
     assert _experiment_section(clean) == _experiment_section(chaotic)

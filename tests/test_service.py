@@ -384,7 +384,7 @@ class TestServiceApp:
 
         run_app(
             body,
-            ServiceConfig(jobs=1, cache_dir=tmp_path / "cache", collect=True),
+            ServiceConfig(jobs=1, cache_dir=tmp_path / "cache"),
         )
 
     def test_health_reports_capabilities(self, tmp_path):
@@ -543,6 +543,27 @@ class TestJobTTL:
         with pytest.raises(ConfigurationError):
             ServiceConfig(batch_window=-0.1)
         assert ServiceConfig(job_ttl=None).job_ttl is None
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"batch_window": float("inf")},
+            {"batch_window": float("nan")},
+            {"job_ttl": float("inf")},
+            {"job_ttl": float("nan")},
+        ],
+        ids=lambda knobs: "-".join(f"{k}={v}" for k, v in knobs.items()),
+    )
+    def test_non_finite_ttl_and_window_rejected(self, knobs):
+        """An infinite window would linger forever and never run a job;
+        a NaN slips past every ordered comparison."""
+        with pytest.raises(ConfigurationError, match="finite"):
+            ServiceConfig(**knobs)
+
+    def test_config_has_no_collect_knob(self):
+        """Served jobs always carry telemetry; there is no switch."""
+        with pytest.raises(TypeError):
+            ServiceConfig(collect=False)
 
 
 # ---------------------------------------------------------------------------

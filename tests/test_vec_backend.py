@@ -1,9 +1,10 @@
 """Backend routing and capability gating for the vec backend.
 
-The contract under test: the vec backend is *routable* — experiments
-declare it, the cache keys carry it, the CLI exposes it — and it is
-*honest* — unsupported scenarios are rejected with reasons, never
-silently handed to the scalar engine.
+The contract under test: the vec backend is *routable* — `run`,
+`submit` and `info --check` expose it, while the grid experiments run
+their vec sweeps with no backend flag at all — and it is *honest* —
+unsupported scenarios are rejected with reasons, never silently handed
+to the scalar engine.
 """
 
 import json
@@ -12,7 +13,7 @@ import pytest
 
 from repro.apps.temp_alarm import scenario
 from repro.cli import build_parser, main as cli_main
-from repro.errors import ConfigurationError, VecCapabilityError
+from repro.errors import VecCapabilityError
 from repro.experiments.registry import get_experiment, run_experiment
 from repro.spec import dump_scenario, load_scenario
 from repro.vec import (
@@ -86,33 +87,22 @@ class TestCapabilities:
 
 
 class TestRouting:
-    def test_routable_experiments_declare_backend(self):
-        for name in ("fig03", "fig04", "ablation", "power-sweep"):
-            assert get_experiment(name).uses_backend, name
-
     def test_scalar_backend_keeps_legacy_cache_params(self):
-        exp = get_experiment("fig03")
-        assert "backend" not in exp.params(seed=0, scale=1.0)
-        assert "backend" not in exp.params(seed=0, scale=1.0, backend="scalar")
-
-    def test_vec_backend_key_joins_cache_params(self):
-        exp = get_experiment("fig03")
-        assert exp.params(seed=0, scale=1.0, backend="vec")["backend"] == "vec"
+        """The grid experiments always run their vec sweep, under the
+        cache parameters their scalar route had: no backend entry."""
+        for name in ("fig03", "fig04", "ablation", "power-sweep", "fleet"):
+            params = get_experiment(name).params(seed=0, scale=1.0)
+            assert "backend" not in params, name
 
     def test_unroutable_experiment_rejects_vec(self):
-        with pytest.raises(ConfigurationError) as exc:
-            run_experiment("fig02", backend="vec")
-        assert "no 'vec' backend" in str(exc.value)
-        assert "fig03" in str(exc.value)
+        """No experiment takes a backend: the keyword is gone from the
+        facade rather than ignored."""
+        for name in ("fig02", "fig03"):
+            with pytest.raises(TypeError):
+                run_experiment(name, backend="vec")
 
 
 class TestCli:
-    def test_experiment_backend_flag_parses(self):
-        args = build_parser().parse_args(
-            ["experiment", "fig03", "--backend", "vec"]
-        )
-        assert args.backend == "vec"
-
     def test_spec_check_backend_flag_parses(self, tmp_path):
         spec = tmp_path / "ok.json"
         spec.write_text(dump_scenario(scenario(seed=1)))
@@ -125,7 +115,7 @@ class TestCli:
         assert cli_main(["info"]) == 0
         out = capsys.readouterr().out
         assert "harvesters" in out
-        assert "power-sweep" in out
+        assert "reconfiguration" in out
 
     def test_spec_check_vec_passes_supported(self, tmp_path, capsys):
         spec = tmp_path / "ok.json"
@@ -140,6 +130,7 @@ class TestCli:
         assert "FAIL" in out
 
     def test_experiment_unroutable_backend_exits_2(self, capsys):
-        assert cli_main(["experiment", "fig02", "--backend", "vec"]) == 2
-        err = capsys.readouterr().err
-        assert "no 'vec' backend" in err
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["experiment", "fig02", "--backend", "vec"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -15,7 +15,9 @@ Three layers of agreement are pinned, with tolerances documented in
   (identical arithmetic, different dispatch), energy accounting to
   1e-12 relative, duty-cycle state exactly.
 * **Closed-form helpers** — ``charge_times`` and ``times_to_brownout``
-  against the scalar Figure 3 integrators they vectorize.
+  against the scalar Figure 3 integrators they vectorize, on small
+  fleets and on the exact Figure 3, Figure 4 and ablation grids those
+  experiments run.
 """
 
 import json
@@ -32,7 +34,13 @@ from repro.energy.capacitor import (
     EDLC_CPH3225A,
     TANTALUM_POLYMER,
 )
-from repro.experiments.fig03_design_space import charge_time_for_bank
+from repro.experiments import ablation, fig03_design_space, fig04_volume
+from repro.experiments.fig03_design_space import (
+    _scaled_bank,
+    atomicity_for_bank,
+    charge_time_for_bank,
+)
+from repro.experiments.fig04_volume import atomicity_by_parts
 from repro.vec import (
     FleetKernel,
     ScalarFleet,
@@ -200,6 +208,55 @@ class TestClosedFormHelpers:
             )
             want = booster.time_to_brownout(bank, 4e-3)
             assert got[i] == pytest.approx(want, rel=1e-12)
+
+
+    def test_fig03_grid_matches_scalar_integrators(self):
+        """All 13 points of the Figure 3 sweep, both axes."""
+        _, curve = fig03_design_space.run()
+        assert len(curve) == 13
+        for point in curve:
+            bank = _scaled_bank(TANTALUM_POLYMER, point.capacitance)
+            assert point.atomicity_ops == pytest.approx(
+                atomicity_for_bank(bank), rel=1e-11
+            )
+            assert point.charge_time == pytest.approx(
+                charge_time_for_bank(bank, harvest_power=1e-3), rel=1e-11
+            )
+
+    def test_fig04_grid_matches_scalar_integrator(self):
+        """Both technologies x 1..8 parallel parts (the Figure 4 grid)."""
+        result = fig04_volume.run()
+        points = 0
+        for label, part in (("ceramic", CERAMIC_X5R), ("supercap", EDLC_CPH3225A)):
+            for count in range(1, 9):
+                assert result.value(f"{label}/{count}/mops") == pytest.approx(
+                    atomicity_by_parts(part, count), rel=1e-11
+                )
+                points += 1
+        assert points == 16
+
+    def test_ablation_grids_match_scalar_integrator(self):
+        """The bypass and mechanism ablations' charge integrals."""
+        from repro.energy.threshold import ThresholdReconfigurator
+
+        probe = BankSpec.single("probe", TANTALUM_POLYMER, 4)
+        bypass = ablation.bypass_ablation()
+        for key, flag in (("with_bypass", True), ("without_bypass", False)):
+            want = charge_time_for_bank(probe, 1e-3, InputBooster(bypass=flag))
+            assert bypass.value(key) == pytest.approx(want, rel=1e-12)
+
+        small = BankSpec.single("small", CERAMIC_X5R, 4)
+        full = BankSpec.of_parts(
+            "full", [(CERAMIC_X5R, 4), (TANTALUM_POLYMER, 8)]
+        )
+        v_top = ThresholdReconfigurator(bank_spec=full).v_top_min
+        mechanism = ablation.mechanism_ablation()
+        assert mechanism.value("switched_cold_start") == pytest.approx(
+            charge_time_for_bank(small, 1e-3), rel=1e-12
+        )
+        assert mechanism.value("threshold_cold_start") == pytest.approx(
+            charge_time_for_bank(full, 1e-3, target=v_top), rel=1e-12
+        )
 
 
 def _regenerate() -> None:
