@@ -87,6 +87,25 @@ class TestCapabilities:
 
 
 class TestRouting:
+    def test_routable_experiments_declare_backend(self, monkeypatch):
+        """The grid experiments that once took ``--backend vec`` now
+        declare the vec route in their runners: each builds its grid
+        as a vec fleet, with no backend argument to ask for it."""
+        import repro.vec as vec
+
+        calls = []
+        real = vec.fleet_from_banks
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(vec, "fleet_from_banks", counting)
+        for name in ("fig03", "fig04", "ablation"):
+            calls.clear()
+            run_experiment(name)
+            assert calls, name
+
     def test_scalar_backend_keeps_legacy_cache_params(self):
         """The grid experiments always run their vec sweep, under the
         cache parameters their scalar route had: no backend entry."""
