@@ -1017,7 +1017,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="maximum queued jobs before 503s (default: 16)",
     )
     serve_parser.add_argument(
-        "--quota-rate", type=float, default=32.0,
+        "--quota-rate", type=_finite_float(-math.inf), default=32.0,
         help="per-client requests/second before 429s (<= 0 disables)",
     )
     serve_parser.add_argument(

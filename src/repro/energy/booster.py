@@ -380,9 +380,3 @@ def _time_to_brownout(
     if not browned_out:  # pragma: no cover - inf duration always browns out
         raise PowerSystemError("discharge with infinite duration did not end")
     return time_ran
-
-
-def clear_segment_caches() -> None:
-    """Drop the memoised discharge solutions (test isolation helper)."""
-    _min_bank_voltage.cache_clear()
-    _time_to_brownout.cache_clear()

@@ -271,24 +271,23 @@ def run_fleet_batch(
             )
 
     parse = _parse_once()
-    scenarios: List[ScenarioSpec] = []
-    systems: List[str] = []
-    for job in jobs:
-        scenario = parse(job.scenario_json)
-        system = (
-            SystemKind.from_name(job.system).value
-            if job.system is not None
-            else scenario.system
+
+    # Memoized for this call, like ``parse``: equal jobs share one spec
+    # object, so the fleet builders do their per-platform work once.
+    @functools.lru_cache(maxsize=None)
+    def job_scenario(scenario_json: str, name: Optional[str]) -> ScenarioSpec:
+        scenario = parse(scenario_json)
+        system = scenario.system if name is None else SystemKind.from_name(name).value
+        if system == scenario.system:
+            return scenario
+        return ScenarioSpec(
+            name=scenario.name,
+            system=system,
+            platform=scenario.platform,
+            workload=scenario.workload,
         )
-        if system != scenario.system:
-            scenario = ScenarioSpec(
-                name=scenario.name,
-                system=system,
-                platform=scenario.platform,
-                workload=scenario.workload,
-            )
-        scenarios.append(scenario)
-        systems.append(system)
+
+    scenarios = [job_scenario(job.scenario_json, job.system) for job in jobs]
 
     state = build_fleet(
         scenarios,
@@ -310,12 +309,21 @@ def run_fleet_batch(
     steps = int(summary["steps"])
 
     payloads: List[Dict[str, Any]] = []
-    for i, (job, scenario, system) in enumerate(zip(jobs, scenarios, systems)):
-        on_seconds = float(state.on_seconds[i])
-        brownouts = int(state.brownouts[i])
-        energy_in = float(state.energy_in[i])
-        energy_out = float(state.energy_out[i])
-        energy_leaked = float(state.energy_leaked[i])
+    columns = zip(
+        scenarios,
+        state.voltage.tolist(),
+        state.on.tolist(),
+        state.on_seconds.tolist(),
+        state.brownouts.tolist(),
+        state.energy_in.tolist(),
+        state.energy_out.tolist(),
+        state.energy_leaked.tolist(),
+    )
+    for (
+        scenario, voltage, on, on_seconds, brownouts,
+        energy_in, energy_out, energy_leaked,
+    ) in columns:
+        system = scenario.system
         telemetry_snapshot = None
         if collect:
             # Synthetic per-job snapshot from simulation-derived values
@@ -343,8 +351,8 @@ def run_fleet_batch(
                     "steps": steps,
                 },
                 "fleet": {
-                    "voltage": float(state.voltage[i]),
-                    "on": bool(state.on[i]),
+                    "voltage": voltage,
+                    "on": on,
                     "on_seconds": on_seconds,
                     "brownouts": brownouts,
                     "energy_in": energy_in,

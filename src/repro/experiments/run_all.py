@@ -55,6 +55,7 @@ default.
 
 from __future__ import annotations
 
+import math
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -184,6 +185,8 @@ def main(
     """
     if jobs is not None and jobs < 1:
         raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ConfigurationError(f"--scale must be finite and > 0, got {scale}")
     for flag, path in (("--metrics-out", metrics_out), ("--trace-out", trace_out)):
         if path is not None and not Path(path).parent.is_dir():
             raise ConfigurationError(

@@ -63,6 +63,12 @@ class QuotaRegistry:
     _buckets: Dict[str, TokenBucket] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in ("rate", "burst"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"quota {name} must be finite, got {value}"
+                )
         if self.rate > 0.0 and self.burst < 1.0:
             raise ConfigurationError(
                 f"quota burst must be >= 1 token, got {self.burst}"

@@ -36,7 +36,6 @@ from repro.spec.model import (
 )
 from repro.spec.build import (
     ScenarioBuilder,
-    assemble_from_spec,
     bank_from_spec,
     booster_from_spec,
     build_scenario_app,
@@ -61,7 +60,6 @@ __all__ = [
     "ScenarioSpec",
     "ScenarioBuilder",
     "TraceSpecV1",
-    "assemble_from_spec",
     "bank_from_spec",
     "booster_from_spec",
     "build_scenario_app",

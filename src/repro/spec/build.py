@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from repro.core.builder import PlatformSpec, PowerAssembly, SystemKind, build_system
+from repro.core.builder import PlatformSpec, SystemKind
 from repro.energy.bank import BankSpec
 from repro.energy.booster import InputBooster, OutputBooster
 from repro.energy.capacitor import CapacitorSpec
@@ -327,15 +327,6 @@ def scenario_trace_hash(scenario: ScenarioSpec) -> Optional[str]:
         digest.update(value.encode())
         digest.update(b"\n")
     return digest.hexdigest()
-
-
-def assemble_from_spec(
-    spec: PlatformSpecV1,
-    kind: "str | SystemKind" = SystemKind.CAPY_P,
-    telemetry=None,
-) -> PowerAssembly:
-    """Build a :class:`PowerAssembly` straight from a declarative platform."""
-    return build_system(platform_from_spec(spec), kind=kind, telemetry=telemetry)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from repro.vec.compat import ScalarFleet
 from repro.vec.kernel import (
     FleetKernel,
     atomicity_ops,
-    charge_power_vec,
     charge_times,
     drain_power_vec,
     leak_decay,
@@ -63,7 +62,6 @@ __all__ = [
     "active_bank_spec",
     "atomicity_ops",
     "build_fleet",
-    "charge_power_vec",
     "charge_times",
     "check_platform",
     "check_scenario",

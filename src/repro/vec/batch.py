@@ -35,7 +35,7 @@ backend never silently falls back to the scalar engine.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -166,13 +166,21 @@ def _harvester_reasons(harvester: Harvester) -> List[str]:
     ]
 
 
-def check_platform(platform: PlatformSpecV1) -> List[str]:
-    """Reasons the vec backend cannot simulate *platform* (empty = ok)."""
+def _platform_harvester(
+    platform: PlatformSpecV1,
+) -> Tuple[Optional[Harvester], List[str]]:
+    """*platform*'s harvester (``None`` if its spec does not build) and
+    the reasons the vec backend cannot simulate it (empty = ok)."""
     try:
         harvester = harvester_from_spec(platform.harvester)
     except Exception as error:  # invalid spec: report, don't crash
-        return [f"harvester spec does not build: {error}"]
-    return _harvester_reasons(harvester)
+        return None, [f"harvester spec does not build: {error}"]
+    return harvester, _harvester_reasons(harvester)
+
+
+def check_platform(platform: PlatformSpecV1) -> List[str]:
+    """Reasons the vec backend cannot simulate *platform* (empty = ok)."""
+    return _platform_harvester(platform)[1]
 
 
 def check_scenario(scenario: ScenarioSpec, fault_schedule=None) -> List[str]:
@@ -196,12 +204,16 @@ def ensure_supported(scenario: ScenarioSpec, fault_schedule=None) -> None:
     """Raise :class:`VecCapabilityError` unless *scenario* is supported."""
     reasons = check_scenario(scenario, fault_schedule)
     if reasons:
-        listing = "; ".join(reasons)
-        raise VecCapabilityError(
-            f"scenario {scenario.name!r} is not supported by the vec "
-            f"backend: {listing}. Use the scalar engine, or see `repro "
-            f"info` for the supported feature set."
-        )
+        raise _unsupported(scenario, reasons)
+
+
+def _unsupported(scenario: ScenarioSpec, reasons: List[str]) -> VecCapabilityError:
+    listing = "; ".join(reasons)
+    return VecCapabilityError(
+        f"scenario {scenario.name!r} is not supported by the vec "
+        f"backend: {listing}. Use the scalar engine, or see `repro "
+        f"info` for the supported feature set."
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -288,40 +300,40 @@ def compile_operating_segments(
     if horizon < 0.0:
         raise ConfigurationError(f"horizon must be non-negative, got {horizon}")
     n = len(scenarios)
-    scales = _broadcast(power_scales, n)
+    scales = np.asarray([float(scale) for scale in _broadcast(power_scales, n)])
     total_steps = int(round(horizon / dt))
 
+    # One harvester per distinct platform; devices gather its row.
+    rows: Dict[int, int] = {}
     harvesters = []
     clamps = []
+    index = np.empty(n, dtype=np.intp)
     boundary_steps = {0, total_steps}
-    for scenario in scenarios:
-        harvester = harvester_from_spec(scenario.platform.harvester)
-        harvesters.append(harvester)
-        clamps.append(scenario.platform.limiter_v_clamp)
-        for change in harvester_change_times(harvester, horizon):
-            step = int(math.ceil(change / dt - 1e-9))
-            if 0 < step < total_steps:
-                boundary_steps.add(step)
+    for i, scenario in enumerate(scenarios):
+        platform = scenario.platform
+        row = rows.get(id(platform))
+        if row is None:
+            row = rows[id(platform)] = len(harvesters)
+            harvester = harvester_from_spec(platform.harvester)
+            harvesters.append(harvester)
+            clamps.append(platform.limiter_v_clamp)
+            for change in harvester_change_times(harvester, horizon):
+                step = int(math.ceil(change / dt - 1e-9))
+                if 0 < step < total_steps:
+                    boundary_steps.add(step)
+        index[i] = row
     boundaries = sorted(boundary_steps)
 
+    # A zero-duration horizon still needs one (zero-step) segment.
+    spans = list(zip(boundaries[:-1], boundaries[1:])) or [(0, 0)]
     segments = []
-    for start, stop in zip(boundaries[:-1], boundaries[1:]):
-        t_start = start * dt
-        hv = np.zeros(n)
-        hp = np.zeros(n)
-        for i, (harvester, clamp) in enumerate(zip(harvesters, clamps)):
-            voltage, power = operating_point(harvester, clamp, time=t_start)
-            hv[i] = voltage
-            hp[i] = power * float(scales[i])
-        segments.append((stop - start, hv, hp))
-    if not segments:  # zero-duration horizon still needs one segment
-        hv = np.zeros(n)
-        hp = np.zeros(n)
-        for i, (harvester, clamp) in enumerate(zip(harvesters, clamps)):
-            voltage, power = operating_point(harvester, clamp, time=0.0)
-            hv[i] = voltage
-            hp[i] = power * float(scales[i])
-        segments.append((0, hv, hp))
+    for start, stop in spans:
+        points = [
+            operating_point(harvester, clamp, time=start * dt)
+            for harvester, clamp in zip(harvesters, clamps)
+        ]
+        hv, hp = np.asarray(points, dtype=float).T
+        segments.append((stop - start, hv[index], hp[index] * scales))
     return segments
 
 
@@ -402,38 +414,57 @@ def build_fleet(
     scales = _broadcast(power_scales, n)
     volts = _broadcast(initial_voltage, n)
 
+    # The work runs once per distinct platform (support check, boosters,
+    # harvester operating point) and once per distinct (platform,
+    # system, mode) bank set; each device then gathers its rows.  A row
+    # is the object a per-device build would make, so no column changes.
+    platform_rows: Dict[int, int] = {}
+    bank_rows: Dict[Tuple[int, str, Optional[str]], int] = {}
     banks: List[BankSpec] = []
     input_boosters: List[InputBooster] = []
     output_boosters: List[OutputBooster] = []
-    hv = np.zeros(n)
-    hp = np.zeros(n)
-    quiescent = np.zeros(n)
-    for i, scenario in enumerate(scenarios):
-        if check:
-            ensure_supported(scenario)
+    points = []
+    quiescent = []
+    platform_index = np.empty(n, dtype=np.intp)
+    bank_index = np.empty(n, dtype=np.intp)
+    for i, (scenario, mode) in enumerate(zip(scenarios, modes)):
         platform = scenario.platform
-        banks.append(active_bank_spec(platform, scenario.system, modes[i]))
-        input_boosters.append(
-            InputBooster()
-            if platform.input_booster is None
-            else booster_from_spec(platform.input_booster)
-        )
-        output_boosters.append(
-            OutputBooster()
-            if platform.output_booster is None
-            else booster_from_spec(platform.output_booster)
-        )
-        voltage, power = operating_point(
-            harvester_from_spec(platform.harvester), platform.limiter_v_clamp
-        )
-        hv[i] = voltage
-        hp[i] = power * float(scales[i])
-        quiescent[i] = platform.quiescent_power
+        row = platform_rows.get(id(platform))
+        if row is None:
+            if check:
+                harvester, reasons = _platform_harvester(platform)
+                if reasons:
+                    raise _unsupported(scenario, reasons)
+            else:
+                harvester = harvester_from_spec(platform.harvester)
+            row = platform_rows[id(platform)] = len(points)
+            input_boosters.append(
+                InputBooster()
+                if platform.input_booster is None
+                else booster_from_spec(platform.input_booster)
+            )
+            output_boosters.append(
+                OutputBooster()
+                if platform.output_booster is None
+                else booster_from_spec(platform.output_booster)
+            )
+            points.append(operating_point(harvester, platform.limiter_v_clamp))
+            quiescent.append(platform.quiescent_power)
+        platform_index[i] = row
+        key = (id(platform), scenario.system, mode)
+        bank_row = bank_rows.get(key)
+        if bank_row is None:
+            bank_row = bank_rows[key] = len(banks)
+            banks.append(active_bank_spec(platform, scenario.system, mode))
+        bank_index[i] = bank_row
 
+    hv, hp = np.asarray(points, dtype=float).T
     return _assemble(
-        banks, input_boosters, output_boosters, hv, hp,
+        banks, bank_index, input_boosters, output_boosters, platform_index,
+        hv[platform_index],
+        hp[platform_index] * np.asarray([float(scale) for scale in scales]),
         np.asarray([float(load) for load in loads]),
-        quiescent,
+        np.asarray(quiescent, dtype=float)[platform_index],
         np.asarray([float(v) for v in volts]),
     )
 
@@ -492,34 +523,43 @@ def fleet_from_banks(
         volts = np.broadcast_to(
             np.asarray(initial_voltage, dtype=float), (n,)
         ).copy()
+    identity = np.arange(n)
     return _assemble(
-        list(banks), input_boosters, output_boosters, hv, hp, loads,
-        quiescent, volts,
+        list(banks), identity, input_boosters, output_boosters, identity,
+        hv, hp, loads, quiescent, volts,
     )
 
 
 def _assemble(
     banks: List[BankSpec],
+    bank_index: np.ndarray,
     input_boosters: List[InputBooster],
     output_boosters: List[OutputBooster],
+    booster_index: np.ndarray,
     hv: np.ndarray,
     hp: np.ndarray,
     loads: np.ndarray,
     quiescent: np.ndarray,
     volts: np.ndarray,
 ) -> FleetState:
-    def column(objects, attribute):
-        return np.asarray([getattr(obj, attribute) for obj in objects])
+    """A fleet whose device ``i`` takes ``banks[bank_index[i]]`` and the
+    boosters at ``booster_index[i]``; the other columns are per device."""
 
-    capacitance = np.asarray([bank.capacitance for bank in banks])
+    def bank_column(values):
+        return np.asarray(values)[bank_index]
+
+    def column(objects, attribute):
+        values = [getattr(obj, attribute) for obj in objects]
+        return np.asarray(values)[booster_index]
+
     return FleetState(
         voltage=volts,
-        capacitance=capacitance,
-        esr=np.asarray([bank.esr for bank in banks]),
-        leak_tau=np.asarray(
+        capacitance=bank_column([bank.capacitance for bank in banks]),
+        esr=bank_column([bank.esr for bank in banks]),
+        leak_tau=bank_column(
             [bank.leak_resistance * bank.capacitance for bank in banks]
         ),
-        rated_voltage=np.asarray([bank.rated_voltage for bank in banks]),
+        rated_voltage=bank_column([bank.rated_voltage for bank in banks]),
         harvest_voltage=hv,
         harvest_power=hp,
         load_power=loads,
@@ -527,7 +567,7 @@ def _assemble(
         in_efficiency=column(input_boosters, "efficiency"),
         in_v_cold_start=column(input_boosters, "v_cold_start"),
         in_cold_start_efficiency=column(input_boosters, "cold_start_efficiency"),
-        in_bypass=np.asarray([bool(b.bypass) for b in input_boosters]),
+        in_bypass=column(input_boosters, "bypass"),
         in_v_diode_drop=column(input_boosters, "v_diode_drop"),
         in_v_charge_target=column(input_boosters, "v_charge_target"),
         in_min_input_voltage=column(input_boosters, "min_input_voltage"),

@@ -50,7 +50,6 @@ from repro.vec.state import FleetState
 
 __all__ = [
     "FleetKernel",
-    "charge_power_vec",
     "drain_power_vec",
     "charge_times",
     "leak_decay",
@@ -170,17 +169,6 @@ def _charge_power(voltage: np.ndarray, terms: _ChargeTerms) -> np.ndarray:
     cold_path = np.maximum(cold_power, bypassed)
     power = np.where(voltage >= v_cold_start, warm, cold_path)
     return np.where(blocked | (voltage >= v_charge_target), _ZERO, power)
-
-
-def charge_power_vec(voltage: np.ndarray, state: FleetState) -> np.ndarray:
-    """Power into each capacitor, watts — ``InputBooster.charge_power``.
-
-    Evaluates every path of the scalar model on arrays: the warm path
-    with its linear efficiency ramp, the cold-start path, and the
-    keeper-diode bypass, then zeroes devices whose harvester is too
-    weak or whose capacitor is at/above the charge target.
-    """
-    return _charge_power(voltage, _charge_terms(state))
 
 
 class _DrainTerms(NamedTuple):

@@ -74,6 +74,27 @@ class TestArgValidation:
         with pytest.raises(ConfigurationError):
             run_all.main(jobs=0)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_run_all_rejects_bad_scale_programmatically(self, scale, monkeypatch):
+        """The library checks ``scale`` as the CLI does, before any cache
+        key or declared scenario is computed."""
+        from repro.errors import ConfigurationError
+        from repro.experiments import run_all
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cache keys computed for a rejected scale")
+
+        monkeypatch.setattr(run_all, "ResultCache", forbidden)
+        monkeypatch.setattr(run_all._REGISTRY, "suite", forbidden)
+        with pytest.raises(ConfigurationError, match="scale"):
+            run_all.main(scale=scale, jobs=1, use_cache=False)
+
+    @pytest.mark.parametrize("rate", ["0", "-1", "2.5"])
+    def test_serve_quota_rate_parses_finite_values(self, rate):
+        """Any finite rate parses; ``<= 0`` still switches quotas off."""
+        args = build_parser().parse_args(["serve", "--quota-rate", rate])
+        assert args.quota_rate == float(rate)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -107,6 +128,8 @@ class TestArgValidation:
             ["serve", "--batch-window", "inf"],
             ["serve", "--quota-burst", "-5"],
             ["serve", "--quota-burst", "nan"],
+            ["serve", "--quota-rate", "nan"],
+            ["serve", "--quota-rate", "inf"],
         ],
         ids=lambda argv: "-".join(argv[:1] + argv[-2:]),
     )

@@ -196,6 +196,23 @@ class TestQuota:
         with pytest.raises(ConfigurationError):
             QuotaRegistry(rate=5.0, burst=0.5)
 
+    @pytest.mark.parametrize(
+        "rate, burst",
+        [
+            (float("nan"), 64.0),
+            (float("inf"), 64.0),
+            (-float("inf"), 64.0),
+            (32.0, float("nan")),
+            (32.0, float("inf")),
+            (0.0, float("nan")),
+        ],
+    )
+    def test_non_finite_rate_or_burst_rejected(self, rate, burst):
+        """A NaN rate would read as disabled (``nan > 0`` is false): it
+        must fail loudly instead of switching quotas off."""
+        with pytest.raises(ConfigurationError, match="finite"):
+            QuotaRegistry(rate=rate, burst=burst)
+
 
 # ---------------------------------------------------------------------------
 # Service behaviour (direct ASGI)

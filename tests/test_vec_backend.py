@@ -7,18 +7,24 @@ unsupported scenarios are rejected with reasons, never silently handed
 to the scalar engine.
 """
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.apps.temp_alarm import scenario
 from repro.cli import build_parser, main as cli_main
 from repro.errors import VecCapabilityError
+from repro.experiments.plan import CampaignJob, run_fleet_batch
 from repro.experiments.registry import get_experiment, run_experiment
-from repro.spec import dump_scenario, load_scenario
+from repro.spec import canonical_json, dump_scenario, load_scenario
 from repro.vec import (
+    FIXED_BANK_MODE,
+    FleetState,
     build_fleet,
     check_scenario,
+    compile_operating_segments,
     ensure_supported,
     vec_capabilities,
 )
@@ -31,6 +37,16 @@ def _piecewise_scenario():
         "kind": "piecewise",
         "breakpoints": [[10.0, 0.0]],
         "initial": 24.0,
+    }
+    return load_scenario(json.dumps(doc))
+
+
+def _replay_scenario(samples):
+    """An inline hold-replay irradiance trace scenario."""
+    doc = json.loads(dump_scenario(scenario(seed=3)))
+    doc["platform"]["harvester"]["irradiance"] = {
+        "kind": "replay",
+        "samples": samples,
     }
     return load_scenario(json.dumps(doc))
 
@@ -84,6 +100,124 @@ class TestCapabilities:
         state = build_fleet([scenario(seed=1), scenario(seed=2)])
         assert state.n == 2
         assert (state.capacitance > 0.0).all()
+
+
+def _mixed_batch():
+    """Devices over shared, equal-but-distinct and distinct platforms.
+
+    Returns ``(scenarios, modes, options)``: one static scenario object
+    repeated, an equal copy of it, ``Fixed`` and ``CB-P`` systems over
+    different modes, two hold-replay traces and a piecewise trace, with
+    per-device scales, loads and initial voltages.
+    """
+    static = scenario(seed=3)
+    copy = load_scenario(dump_scenario(static))
+    fixed = dataclasses.replace(static, system="Fixed")
+    first = _replay_scenario([[0.0, 24.0], [4.0, 3.0], [9.5, 18.0]])
+    second = _replay_scenario([[0.0, 6.0], [7.0, 28.0]])
+    piecewise = _piecewise_scenario()
+    devices = [
+        (static, None), (static, "ta-sense"), (copy, None), (fixed, None),
+        (fixed, FIXED_BANK_MODE), (static, "ta-radio"), (first, None),
+        (second, "ta-sense"), (first, None), (piecewise, None),
+        (dataclasses.replace(piecewise, system="Fixed"), None), (static, None),
+    ]
+    n = len(devices)
+    options = {
+        "power_scales": [0.25 + 0.5 * i for i in range(n)],
+        "load_power": [1e-3 * (1 + i % 3) for i in range(n)],
+        "initial_voltage": [0.1 * (i % 4) for i in range(n)],
+    }
+    return [s for s, _ in devices], [m for _, m in devices], options
+
+
+def _per_step(segments, device):
+    """One device's harvest columns, expanded to one entry per step."""
+    return tuple(
+        np.concatenate([np.repeat(seg[k][device], seg[0]) for seg in segments])
+        for k in (1, 2)
+    )
+
+
+class TestBatchAssembly:
+    """A batch is assembled once per distinct platform, and that sharing
+    never shows in the bytes: every column equals the device's solo
+    build."""
+
+    HORIZON = 12.0
+    DT = 0.5
+
+    def test_fleet_columns_equal_solo_builds(self):
+        scenarios, modes, options = _mixed_batch()
+        batch = build_fleet(scenarios, modes=modes, **options)
+        solos = [
+            build_fleet(
+                [s], modes=[m], **{k: [v[i]] for k, v in options.items()}
+            )
+            for i, (s, m) in enumerate(zip(scenarios, modes))
+        ]
+        for field in dataclasses.fields(FleetState):
+            joined = b"".join(getattr(solo, field.name).tobytes() for solo in solos)
+            assert getattr(batch, field.name).tobytes() == joined, field.name
+
+    def test_segments_equal_solo_compiles(self):
+        scenarios, _, options = _mixed_batch()
+        scales = options["power_scales"]
+        batch = compile_operating_segments(
+            scenarios, self.HORIZON, self.DT, power_scales=scales
+        )
+        assert len(batch) > 3  # the traces split the run
+        for i, (s, scale) in enumerate(zip(scenarios, scales)):
+            solo = compile_operating_segments(
+                [s], self.HORIZON, self.DT, power_scales=[scale]
+            )
+            got, want = _per_step(batch, i), _per_step(solo, 0)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want], i
+
+    def test_harvester_builds_once_per_platform(self, monkeypatch):
+        import repro.vec.batch as batch_module
+
+        built = []
+        real = batch_module.harvester_from_spec
+
+        def counting(spec):
+            built.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(batch_module, "harvester_from_spec", counting)
+        scenarios, modes, _ = _mixed_batch()
+        platforms = len({id(s.platform) for s in scenarios})
+        assert platforms < len(scenarios)
+        build_fleet(scenarios, modes=modes)
+        assert len(built) == platforms
+        built.clear()
+        compile_operating_segments(scenarios, self.HORIZON, self.DT)
+        assert len(built) == platforms
+
+        # The planner's batch shares one spec object per distinct
+        # (scenario text, system): two texts, four systems, 16 jobs.
+        texts = [
+            canonical_json(scenario(seed=3)),
+            canonical_json(_replay_scenario([[0.0, 24.0], [4.0, 3.0]])),
+        ]
+        jobs = [
+            CampaignJob(
+                label=f"job{i}", scenario_json=texts[i % 2],
+                system=("Pwr", "Fixed", "CB-R", "CB-P")[i % 4],
+                horizon=self.HORIZON, backend="vec", dt=self.DT,
+                power_scale=1.0 + i,
+            )
+            for i in range(16)
+        ]
+        built.clear()
+        run_fleet_batch(jobs)
+        assert len(built) == 2 * len(texts)
+
+    def test_one_unsupported_member_among_repeats_raises(self):
+        supported = scenario(seed=3)
+        batch = [supported] * 6 + [_orbit_scenario()] + [supported] * 6
+        with pytest.raises(VecCapabilityError, match="not supported"):
+            build_fleet(batch)
 
 
 class TestRouting:
