@@ -24,6 +24,13 @@ from repro.errors import SpecError
 #: Job lifecycle states, in order.
 JOB_STATES = ("queued", "running", "done", "failed")
 
+#: Most fixed-timestep steps one submission may ask for, at the vec
+#: backend's default ``dt`` (50,000 s at 0.05 s).  A vec job shares its
+#: kernel launch with every queued job of the same ``dt``, so one
+#: unbounded horizon would hold them all; scalar jobs are held to the
+#: same horizon.
+MAX_JOB_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class JobRequest:
@@ -106,6 +113,17 @@ class JobRequest:
             horizon = float(horizon)
             if not math.isfinite(horizon) or horizon <= 0.0:
                 raise SpecError(f"horizon must be finite and > 0, got {horizon}")
+            from repro.experiments.plan import DEFAULT_VEC_DT
+
+            # Compared as a float: a huge horizon overflows to inf steps.
+            steps = horizon / DEFAULT_VEC_DT
+            if steps > MAX_JOB_STEPS + 0.5:
+                raise SpecError(
+                    f"horizon {horizon} s is {steps:.0f} steps at dt="
+                    f"{DEFAULT_VEC_DT:g} s, over the step budget of "
+                    f"{MAX_JOB_STEPS} steps "
+                    f"({MAX_JOB_STEPS * DEFAULT_VEC_DT:g} s)"
+                )
 
         faults_json = None
         faults_data = envelope.get("faults")

@@ -39,8 +39,10 @@ by the chosen ``dt`` and documented in ``docs/performance.md``.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import time
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,6 +86,17 @@ _TINY_VOLTAGE = _operand(1e-300)
 _FLOOR_EPS = 1e-9
 #: Epsilon matching the scalar charge loop's target guard.
 _TARGET_EPS = 1e-9
+
+#: The state columns a run writes: its per-device results.
+_RUN_COLUMNS = (
+    "voltage",
+    "on",
+    "energy_in",
+    "energy_out",
+    "energy_leaked",
+    "on_seconds",
+    "brownouts",
+)
 
 
 def leak_decay(leak_tau: np.ndarray, dt: float) -> np.ndarray:
@@ -256,11 +269,12 @@ class FleetKernel:
         for the discretization order)."""
         if dt <= 0.0:
             raise ConfigurationError(f"dt must be positive, got {dt}")
-        self._advance(1, dt, np.exp(-dt / self.state.leak_tau))
+        self._advance(self.state, 1, dt, np.exp(-dt / self.state.leak_tau))
 
-    def _advance(self, steps: int, dt: float, decay: np.ndarray) -> None:
-        """Run *steps* five-phase steps at the current operating point."""
-        s = self.state
+    def _advance(
+        self, s: FleetState, steps: int, dt: float, decay: np.ndarray
+    ) -> None:
+        """Run *steps* five-phase steps of *s* at its operating point."""
         charge_terms = _charge_terms(s)
         drain_terms = _drain_terms(s)
         floor = s.floor + _FLOOR_EPS
@@ -354,7 +368,7 @@ class FleetKernel:
                 f"decay: expected shape {self.state.voltage.shape}, "
                 f"got {np.shape(decay)}"
             )
-        self._advance(steps, dt, decay)
+        self._advance(self.state, steps, dt, decay)
         wall = time.perf_counter() - started
         if self.telemetry.enabled:
             self.telemetry.inc("vec.steps", steps)
@@ -371,6 +385,7 @@ class FleetKernel:
         segments,
         dt: float,
         decay: Optional[np.ndarray] = None,
+        end_steps: Optional[Sequence[int]] = None,
     ) -> Dict[str, float]:
         """Step through piecewise-constant harvester operating points.
 
@@ -385,52 +400,125 @@ class FleetKernel:
         operation stays elementwise (batch-of-N == N batches-of-1 still
         holds, per :func:`leak_decay`).
 
+        *end_steps* gives each device its own step count, at most the
+        segments' total (default: every device runs them all).  Each
+        distinct end step is a stop.  At a stop the devices ending there
+        leave the launch with their seven run columns (``voltage``,
+        ``on`` and the five accounting columns) as they stand, and the
+        launch continues on the survivors only: their state columns,
+        accounting included, and their *decay* factors are gathered,
+        and so is each later segment's operating point.  So no device
+        steps past its own end, and each device's run columns equal
+        those of a run of its own (every operation is elementwise).
+        The launch runs to the segments' total, so compile them for the
+        longest run.  With one end step there is one stop, at the end,
+        and the launch steps exactly as without *end_steps*.
+
         Returns the same summary dict as :meth:`run` plus the segment
-        count; telemetry additionally records ``vec.segments``.
+        count; ``steps`` counts the launch's steps, not device-steps.
+        Telemetry additionally records ``vec.segments``.
         """
         if dt <= 0.0:
             raise ConfigurationError(f"dt must be positive, got {dt}")
-        segments = list(segments)
+        state = self.state
+        shape = state.voltage.shape
+        segments = [_checked_segment(segment, shape) for segment in segments]
         if not segments:
             raise ConfigurationError("run_segments needs at least one segment")
-        shape = self.state.voltage.shape
         if decay is None:
-            decay = np.exp(-dt / self.state.leak_tau)
+            decay = np.exp(-dt / state.leak_tau)
         elif np.shape(decay) != shape:
             raise ConfigurationError(
                 f"decay: expected shape {shape}, got {np.shape(decay)}"
             )
-        total_steps = 0
+        total = sum(steps for steps, _, _ in segments)
+        if end_steps is None:
+            ends = np.full(shape, total, dtype=np.int64)
+        else:
+            ends = np.asarray(end_steps, dtype=np.int64)
+            if ends.shape != shape:
+                raise ConfigurationError(
+                    f"end_steps: expected shape {shape}, got {ends.shape}"
+                )
+            if ends.size and (ends.min() < 0 or ends.max() > total):
+                raise ConfigurationError(
+                    f"end_steps must lie in [0, {total}] (the segments' "
+                    f"total), got [{ends.min()}, {ends.max()}]"
+                )
+        stops = iter(sorted(set(ends.tolist()) | {total}))
+        stop = next(stops)
+        # The devices still stepping, and their indices in ``state``
+        # (None while that is all of them).
+        live, alive = state, None
+        position = 0
         started = time.perf_counter()
         for steps, hv, hp in segments:
-            steps = int(steps)
-            if steps < 0:
-                raise ConfigurationError(
-                    f"segment step counts must be non-negative, got {steps}"
-                )
-            hv = np.asarray(hv, dtype=np.float64)
-            hp = np.asarray(hp, dtype=np.float64)
-            if hv.shape != shape or hp.shape != shape:
-                raise ConfigurationError(
-                    f"segment operating points: expected shape {shape}, "
-                    f"got {hv.shape} / {hp.shape}"
-                )
-            self.state.harvest_voltage = hv
-            self.state.harvest_power = hp
-            self._advance(steps, dt, decay)
-            total_steps += steps
+            live.harvest_voltage = hv if alive is None else hv[alive]
+            live.harvest_power = hp if alive is None else hp[alive]
+            end = position + steps
+            # A stop at the segment's end is taken at the start of the
+            # next segment that steps, or after the last one.
+            while stop < end:
+                self._advance(live, stop - position, dt, decay)
+                position = stop
+                if alive is None:
+                    alive = np.arange(state.n)
+                keep = ends[alive] != stop
+                for name in _RUN_COLUMNS:
+                    getattr(state, name)[alive[~keep]] = getattr(live, name)[~keep]
+                alive = alive[keep]
+                live = _gather(live, keep)
+                decay = decay[keep]
+                stop = next(stops)
+            self._advance(live, end - position, dt, decay)
+            position = end
+        if alive is not None:
+            for name in _RUN_COLUMNS:
+                getattr(state, name)[alive] = getattr(live, name)
+            state.harvest_voltage = hv
+            state.harvest_power = hp
         wall = time.perf_counter() - started
         if self.telemetry.enabled:
-            self.telemetry.inc("vec.steps", total_steps)
-            self.telemetry.inc("vec.devices", self.state.n)
+            self.telemetry.inc("vec.steps", total)
+            self.telemetry.inc("vec.devices", state.n)
             self.telemetry.inc("vec.segments", len(segments))
             self.telemetry.observe("vec.batch_seconds", wall)
         return {
-            "steps": float(total_steps),
+            "steps": float(total),
             "segments": float(len(segments)),
-            "devices": float(self.state.n),
+            "devices": float(state.n),
             "wall_seconds": wall,
         }
+
+
+def _checked_segment(segment, shape) -> Tuple[int, np.ndarray, np.ndarray]:
+    """One ``(steps, hv, hp)`` segment, validated against the fleet."""
+    steps, hv, hp = segment
+    steps = int(steps)
+    if steps < 0:
+        raise ConfigurationError(
+            f"segment step counts must be non-negative, got {steps}"
+        )
+    hv = np.asarray(hv, dtype=np.float64)
+    hp = np.asarray(hp, dtype=np.float64)
+    if hv.shape != shape or hp.shape != shape:
+        raise ConfigurationError(
+            f"segment operating points: expected shape {shape}, "
+            f"got {hv.shape} / {hp.shape}"
+        )
+    return steps, hv, hp
+
+
+def _gather(state: FleetState, keep: np.ndarray) -> FleetState:
+    """The devices *keep* selects, with every column carried over.
+
+    Unlike :meth:`FleetState.select` nothing is rebuilt or reset: the
+    derived and accounting columns are gathered as they stand.
+    """
+    part = copy.copy(state)
+    for column in dataclasses.fields(FleetState):
+        setattr(part, column.name, getattr(state, column.name)[keep])
+    return part
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ way a run is split into calls never shows in the results:
 * ``run_segments`` equals per-step stepping with the harvest columns
   reassigned before each segment;
 * a batch of ``N`` devices equals ``N`` batches of one (``select([i])``);
-* the final columns of a fixed run hash to a pinned sha256.
+* a ragged launch (per-device ``end_steps``) equals each device's own
+  run, and a launch with one end step equals one without;
+* the final columns of a fixed run, and of a segmented run, hash to
+  pinned sha256s.
 
 Columns are compared by their ``tobytes()``, not with ``==``: equality
 treats ``-0.0`` and ``0.0`` as the same value and would hide a change in
@@ -22,10 +25,21 @@ and devices that brown out and wake again.
 """
 
 import hashlib
+import json
 
 import numpy as np
+import pytest
 
-from repro.vec import FleetKernel, FleetState, leak_decay
+from repro.apps.temp_alarm import scenario
+from repro.errors import ConfigurationError
+from repro.spec import dump_scenario, load_scenario
+from repro.vec import (
+    FleetKernel,
+    FleetState,
+    build_fleet,
+    compile_operating_segments,
+    leak_decay,
+)
 
 DT = 0.01
 STEPS = 600
@@ -47,6 +61,20 @@ COLUMNS = (
 #: computed its step invariants once per call: it pins that doing so
 #: changed no bit.
 PINNED_SHA256 = "e3fe91a79b980cfb882b755a779cff3c86af43857dfbd6de0af7b04db450a3c4"
+
+#: sha256 over ``COLUMNS`` after ``run_segments(_segments(n), DT)`` with
+#: :func:`leak_decay` factors on :func:`_fleet`, computed with the
+#: kernel before it took per-device end steps.
+PINNED_SEGMENTS_SHA256 = (
+    "f84c38824499f755cb43b9d7c109cb1f3fb714c40d81f998907fabcda6dc1a8c"
+)
+
+#: Per-device end steps over :func:`_segments` (600 steps: 150, 0, 200
+#: and 250).  Six stops, so the launch compacts five times: a zero-step
+#: device, ends inside the first, third and fourth segments, ends on
+#: the boundary at the zero-step segment and at the third segment's
+#: end, and two devices that run to the end.
+RAGGED_ENDS = [600, 0, 75, 350, 600, 150, 420, 75, 350]
 
 
 def _fleet() -> FleetState:
@@ -166,3 +194,104 @@ def test_final_columns_match_pinned_digest():
     state = _fleet()
     FleetKernel(state).run(STEPS * DT, dt=DT, decay=leak_decay(state.leak_tau, DT))
     assert _digest(state) == PINNED_SHA256
+
+
+def _truncated(segments, end: int, index: int):
+    """Device *index*'s own segments, cut at its end step."""
+    own, position = [], 0
+    for steps, hv, hp in segments:
+        steps = min(steps, end - position)
+        own.append((steps, hv[index : index + 1], hp[index : index + 1]))
+        position += steps
+        if position == end:
+            break
+    return own
+
+
+def _assert_ragged_equals_solo(fleet: FleetState, segments, ends, dt) -> None:
+    """A launch with *ends* equals each device's own run, column by column."""
+    solos = [fleet.select([i]) for i in range(fleet.n)]
+    FleetKernel(fleet).run_segments(
+        segments, dt, decay=leak_decay(fleet.leak_tau, dt), end_steps=ends
+    )
+    for i, (solo, end) in enumerate(zip(solos, ends)):
+        summary = FleetKernel(solo).run_segments(
+            _truncated(segments, end, i), dt, decay=leak_decay(solo.leak_tau, dt)
+        )
+        assert summary["steps"] == end
+        assert _bytes(fleet, i) == _bytes(solo), f"device {i}"
+
+
+def test_ragged_launch_equals_solo_runs():
+    fleet = _fleet()
+    assert len(set(RAGGED_ENDS)) >= 3 and 0 in RAGGED_ENDS
+    _assert_ragged_equals_solo(fleet, _segments(fleet.n), RAGGED_ENDS, DT)
+
+
+def test_one_end_step_equals_no_end_steps():
+    plain, ended = _fleet(), _fleet()
+    segments = _segments(plain.n)
+    decay = leak_decay(plain.leak_tau, DT)
+    FleetKernel(plain).run_segments(segments, DT, decay=decay)
+    FleetKernel(ended).run_segments(
+        segments, DT, decay=decay, end_steps=[STEPS] * ended.n
+    )
+    assert _bytes(plain) == _bytes(ended)
+    assert _digest(plain) == PINNED_SEGMENTS_SHA256
+
+
+def test_end_steps_are_checked():
+    fleet = _fleet()
+    for ends in ([STEPS + 1] * fleet.n, [-1] * fleet.n, [STEPS] * (fleet.n - 1)):
+        with pytest.raises(ConfigurationError, match="end_steps"):
+            FleetKernel(fleet).run_segments(_segments(fleet.n), DT, end_steps=ends)
+
+
+def _replayed(seed: int, samples):
+    doc = json.loads(dump_scenario(scenario(seed=seed)))
+    doc["platform"]["harvester"]["irradiance"] = {
+        "kind": "replay",
+        "samples": [list(sample) for sample in samples],
+    }
+    return load_scenario(json.dumps(doc))
+
+
+def test_ragged_launch_mixes_replay_and_static_devices():
+    """Static and replayed scenarios with different horizons in one
+    launch, compiled the way the planner compiles a batch."""
+    dt = 0.5
+    scenarios = [
+        scenario(seed=3),
+        _replayed(4, [(0.0, 24.0), (3.2, 4.0), (7.0, 30.0)]),
+        _replayed(5, [(0.0, 6.0), (5.0, 18.0)]),
+        scenario(seed=6),
+        _replayed(4, [(0.0, 24.0), (3.2, 4.0), (7.0, 30.0)]),
+    ]
+    horizons = [10.0, 4.0, 6.3, 0.1, 10.0]
+    ends = [int(round(horizon / dt)) for horizon in horizons]
+    # Ends inside a trace segment (8 in [7, 14), 13 in [10, 20)), on a
+    # replay boundary (at 7.0 s -> step 14) and at zero steps.
+    assert ends == [20, 8, 13, 0, 20]
+    scales = [1.0, 0.5, 2.0, 1.5, 3.0]
+
+    def fleet(picked):
+        return build_fleet(
+            [scenarios[i] for i in picked],
+            power_scales=[scales[i] for i in picked],
+        )
+
+    batch = fleet(range(len(scenarios)))
+    FleetKernel(batch).run_segments(
+        compile_operating_segments(scenarios, max(horizons), dt, scales),
+        dt,
+        decay=leak_decay(batch.leak_tau, dt),
+        end_steps=ends,
+    )
+    for i, horizon in enumerate(horizons):
+        solo = fleet([i])
+        FleetKernel(solo).run_segments(
+            compile_operating_segments([scenarios[i]], horizon, dt, scales[i]),
+            dt,
+            decay=leak_decay(solo.leak_tau, dt),
+        )
+        assert _bytes(batch, i) == _bytes(solo), f"device {i}"
