@@ -9,7 +9,10 @@ Two kinds of measurement:
   times both engines over the same device count and step count and
   asserts the struct-of-arrays kernel is at least
   ``REPRO_VEC_SPEEDUP_MIN`` times faster (default 10x locally; CI's
-  1-core runners set 5x — see ``.github/workflows/ci.yml``).
+  1-core runners set 5x — see ``.github/workflows/ci.yml``);
+* a ragged-launch gate (``test_skewed_ragged_launch_costs_what_apart``)
+  that times one launch of mixed horizons against its horizons
+  launched apart.
 
 Both engines implement the same five-phase step contract
 (:mod:`repro.vec.kernel` docstring), so the ratio isolates exactly the
@@ -155,3 +158,43 @@ def test_vec_scalar_agreement_on_grid():
     )
     assert (vec_state.on == scalar_state.on).all()
     assert (vec_state.brownouts == scalar_state.brownouts).all()
+
+
+#: A skewed ragged launch: one long device beside many short ones.
+SKEW_LONG_STEPS = 6000
+SKEW_SHORT_STEPS = 200
+SKEW_SHORT_DEVICES = 2000
+
+
+def _skewed_wall(state, ends) -> float:
+    """Best-of-3 kernel wall of one static launch of *state* to *ends*."""
+    best = float("inf")
+    for _ in range(3):
+        fleet = state.select(range(state.n))
+        segments = [(max(ends), fleet.harvest_voltage, fleet.harvest_power)]
+        summary = FleetKernel(fleet).run_segments(segments, DT, end_steps=ends)
+        best = min(best, summary["wall_seconds"])
+    return best
+
+
+def test_skewed_ragged_launch_costs_what_apart():
+    """One launch of a long device and 2,000 short ones costs about what
+    the two horizons cost launched apart.
+
+    A step costs more at width 2,001 than at width 1, so a launch that
+    kept finished devices stepping would pay that width for all 6,000
+    steps: about twice the cost apart on a 2-vCPU VM.  Dropping the
+    short devices at their stop leaves width 1 for the last 5,800.
+    """
+    grid = _fleet()
+    state = grid.select([k % grid.n for k in range(1 + SKEW_SHORT_DEVICES)])
+    ends = [SKEW_LONG_STEPS] + [SKEW_SHORT_STEPS] * SKEW_SHORT_DEVICES
+    together = _skewed_wall(state, ends)
+    apart = _skewed_wall(state.select([0]), ends[:1]) + _skewed_wall(
+        state.select(range(1, state.n)), ends[1:]
+    )
+    print(f"\nskewed launch {together*1e3:.0f}ms vs apart {apart*1e3:.0f}ms")
+    assert together <= 1.25 * apart, (
+        f"one skewed launch took {together / apart:.2f}x its horizons "
+        f"launched apart (allowed: 1.25x)"
+    )
