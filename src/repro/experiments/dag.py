@@ -9,6 +9,9 @@ not overlap.  This module turns the campaign into a dependency graph:
   **at build time** (duplicate ids, unknown predecessors, cycles raise
   :class:`~repro.errors.DagError`, a typed ``SpecError``) so a bad
   declaration can never strand a half-run campaign.
+* :class:`DependencyBook` — the one rule for when a task may run and
+  what a failed predecessor blocks, driven by campaign dispatch and by
+  the job service alike.
 * :class:`CheckpointStore` — a versioned, checksummed campaign record
   persisted next to the result cache after every task completion: each
   task's dependency edges, result key and timing, which the post-run
@@ -43,9 +46,11 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Hashable,
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -58,7 +63,9 @@ from repro.observability.telemetry import Telemetry, resolve_telemetry
 __all__ = [
     "CHECKPOINT_MAGIC",
     "CHECKPOINT_VERSION",
+    "BookUpdate",
     "CampaignDag",
+    "DependencyBook",
     "CompletedTask",
     "CampaignState",
     "CheckpointStore",
@@ -109,10 +116,6 @@ class CampaignDag:
                     f"task {node!r} declares unknown predecessor(s) "
                     f"{unknown}; known tasks: {self._order}"
                 )
-        self._successors: Dict[str, List[str]] = {n: [] for n in self._order}
-        for node in self._order:
-            for pred in self._after[node]:
-                self._successors[pred].append(node)
         self._levels = self._toposort()
 
     @classmethod
@@ -175,9 +178,6 @@ class CampaignDag:
     def predecessors(self, node: str) -> Tuple[str, ...]:
         return self._after[node]
 
-    def successors(self, node: str) -> Tuple[str, ...]:
-        return tuple(self._successors[node])
-
     def levels(self) -> List[List[str]]:
         """Topological levels, declaration order within each."""
         return [list(level) for level in self._levels]
@@ -185,19 +185,6 @@ class CampaignDag:
     def order(self) -> List[str]:
         """One deterministic topological order (levels flattened)."""
         return [node for level in self._levels for node in level]
-
-    def descendants(self, roots: Iterable[str]) -> List[str]:
-        """Every node reachable from *roots* (excluding the roots), in
-        declaration order — the tasks a failed root transitively blocks."""
-        reached: set = set()
-        frontier = list(roots)
-        while frontier:
-            node = frontier.pop()
-            for succ in self._successors[node]:
-                if succ not in reached:
-                    reached.add(succ)
-                    frontier.append(succ)
-        return [n for n in self._order if n in reached]
 
     def critical_path(
         self, seconds: Mapping[str, float]
@@ -228,6 +215,100 @@ class CampaignDag:
             cursor = via[cursor]
         path.reverse()
         return path, finish[tail]
+
+
+# ---------------------------------------------------------------------------
+# The dependency book: when a node may run, what a failure blocks
+# ---------------------------------------------------------------------------
+
+
+class BookUpdate(NamedTuple):
+    """Nodes now ready, and ``(node, via)`` pairs now blocked: *via* is
+    the direct predecessor that failed or was blocked."""
+
+    ready: Tuple[Hashable, ...] = ()
+    blocked: Tuple[Tuple[Hashable, Hashable], ...] = ()
+
+
+class DependencyBook:
+    """When a node may run, and what a failure blocks.
+
+    A node is ready once every predecessor has succeeded, and blocked
+    (once, never ready) as soon as one fails or is blocked.  Predecessors
+    are a set; a failure cascades depth-first over successors in
+    insertion order.  A node with no predecessors costs O(1).
+    """
+
+    def __init__(self) -> None:
+        #: node -> "waiting" | "ready" | "done" | "failed" | "blocked"
+        self._state: Dict[Hashable, str] = {}
+        #: waiting node -> predecessors that have not succeeded yet
+        self._unmet: Dict[Hashable, set] = {}
+        self._successors: Dict[Hashable, List[Hashable]] = {}
+
+    def add(self, node: Hashable, preds: Iterable[Hashable] = ()) -> BookUpdate:
+        """Register *node* after *preds*.  Blocked on arrival, it names
+        the first failed or blocked predecessor in *preds* order.
+        Unknown predecessors raise :class:`ConfigurationError`."""
+        unmet = [p for p in dict.fromkeys(preds) if self._state.get(p) != "done"]
+        unknown = [p for p in unmet if p not in self._state]
+        if unknown:
+            raise ConfigurationError(f"{node!r} waits on unknown node(s) {unknown}")
+        for pred in unmet:
+            if self._state[pred] in ("failed", "blocked"):
+                self._state[node] = "blocked"
+                return BookUpdate(blocked=((node, pred),))
+        if not unmet:
+            self._state[node] = "ready"
+            return BookUpdate(ready=(node,))
+        self._state[node] = "waiting"
+        self._unmet[node] = set(unmet)
+        for pred in unmet:
+            self._successors.setdefault(pred, []).append(node)
+        return BookUpdate()
+
+    def succeed(self, node: Hashable) -> BookUpdate:
+        """Settle ready *node* as done; the successors it released."""
+        ready = []
+        for succ in self._settle(node, "done"):
+            unmet = self._unmet.get(succ)
+            if unmet is None:  # forgotten
+                continue
+            unmet.discard(node)
+            if not unmet:
+                del self._unmet[succ]
+                self._state[succ] = "ready"
+                ready.append(succ)
+        return BookUpdate(ready=tuple(ready))
+
+    def fail(self, node: Hashable) -> BookUpdate:
+        """Settle ready *node* as failed; every descendant it blocked."""
+        blocked = []
+        stack = [(succ, node) for succ in reversed(self._settle(node, "failed"))]
+        while stack:
+            succ, via = stack.pop()
+            if self._unmet.pop(succ, None) is not None:  # else already out
+                self._state[succ] = "blocked"
+                blocked.append((succ, via))
+                successors = self._successors.pop(succ, ())
+                stack.extend((after, succ) for after in reversed(successors))
+        return BookUpdate(blocked=tuple(blocked))
+
+    def waiting_on(self, node: Hashable) -> frozenset:
+        """The predecessors *node* still waits on (empty unless waiting)."""
+        return frozenset(self._unmet.get(node, ()))
+
+    def forget(self, node: Hashable) -> None:
+        """Drop *node*, once settled or while nothing waits on it, so a
+        long-lived book stays bounded; its id must not come back."""
+        for table in (self._state, self._unmet, self._successors):
+            table.pop(node, None)
+
+    def _settle(self, node: Hashable, state: str) -> List[Hashable]:
+        if self._state.get(node) != "ready":
+            raise ConfigurationError(f"cannot settle {node!r}: it is not ready")
+        self._state[node] = state
+        return self._successors.pop(node, [])
 
 
 # ---------------------------------------------------------------------------

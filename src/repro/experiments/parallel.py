@@ -51,6 +51,7 @@ from repro.apps.base import AppInstance
 from repro.core.builder import SystemKind
 from repro.errors import ConfigurationError
 from repro.experiments.campaign import DEFAULT_KINDS, Campaign
+from repro.experiments.dag import DependencyBook
 from repro.faults.inject import WorkerChaos, _unit_draw
 from repro.observability.telemetry import Telemetry, resolve_telemetry
 from repro.sim.trace import Trace
@@ -398,7 +399,8 @@ class WorkerPool:
         Runs ``fn(*tasks[i])`` for each position *i*, never before the
         positions in ``after[i]`` succeeded; a task whose predecessor
         failed is not run, and its slot holds a :class:`TaskError` with
-        ``attempts=0``.  ``after`` must list predecessors at earlier
+        ``attempts=0``.  A :class:`~repro.experiments.dag.DependencyBook`
+        keeps that rule; ``after`` must list predecessors at earlier
         positions.  In-process, tasks run one at a time in position
         order, each to its last attempt; on the executor, every ready
         task is in flight at once and completions are handled as they
@@ -421,15 +423,11 @@ class WorkerPool:
             report.mode = "serial" if inline else "process-pool"
             report.jobs = 1 if inline else self.jobs
 
-        successors: List[List[int]] = [[] for _ in range(count)]
-        unmet = [0] * count
-        for position, predecessors in enumerate(after or ()):
-            unmet[position] = len(predecessors)
-            for predecessor in predecessors:
-                successors[predecessor].append(position)
-        ready = [position for position in range(count) if not unmet[position]]
+        book = DependencyBook()
+        ready: List[int] = []
+        for position in range(count):
+            ready += book.add(position, after[position] if after else ()).ready
         results: List[Any] = [None] * count
-        blocked: set = set()
         #: future -> (position, attempt, executor it was submitted to)
         in_flight: Dict[Future, Tuple[int, int, Any]] = {}
         landed: "_queue.SimpleQueue[Future]" = _queue.SimpleQueue()
@@ -452,22 +450,6 @@ class WorkerPool:
                     self.tasks_run += 1
             in_flight[future] = (position, attempt, executor)
             future.add_done_callback(landed.put)
-
-        def block_descendants(position: int) -> None:
-            stack = list(successors[position])
-            while stack:
-                descendant = stack.pop()
-                if descendant in blocked:
-                    continue
-                blocked.add(descendant)
-                results[descendant] = TaskError(
-                    label=labels[descendant],
-                    error=f"blocked: predecessor {labels[position]!r} failed",
-                    attempts=0,
-                )
-                if telemetry.enabled:
-                    telemetry.inc("campaign.blocked")
-                stack.extend(successors[descendant])
 
         while ready or in_flight:
             # In-process, one task at a time in position order;
@@ -492,10 +474,8 @@ class WorkerPool:
                         report.timings.append(timing)
                     if on_complete is not None:
                         on_complete(label, result, timing)
-                    for successor in successors[position]:
-                        unmet[successor] -= 1
-                        if not unmet[successor]:
-                            _heapq.heappush(ready, successor)
+                    for successor in book.succeed(position).ready:
+                        _heapq.heappush(ready, successor)
                     continue
                 if isinstance(error, BrokenProcessPool) and executor:
                     self._discard(executor)
@@ -515,7 +495,16 @@ class WorkerPool:
                 results[position] = TaskError(
                     label=label, error=repr(error), attempts=attempt
                 )
-                block_descendants(position)
+                # Blocked rows name the failed root, not the direct
+                # predecessor the book reports as `via`.
+                for descendant, _via in book.fail(position).blocked:
+                    results[descendant] = TaskError(
+                        label=labels[descendant],
+                        error=f"blocked: predecessor {label!r} failed",
+                        attempts=0,
+                    )
+                    if telemetry.enabled:
+                        telemetry.inc("campaign.blocked")
         return results
 
 

@@ -39,9 +39,11 @@ execution.
 Submissions may form a DAG: ``"after": ["job-1", ...]`` parks a job
 until the named predecessors settle (unknown ids are a 400 at the
 edge; a failed predecessor fails the dependent with the blocking id in
-its detail, transitively).  ``after`` is scheduling metadata only — it
-never joins the result key, so a dependent still serves from cache
-instantly when its own inputs were computed before.
+its detail, transitively).  The rule is the campaign layer's
+:class:`~repro.experiments.dag.DependencyBook`; this app only queues,
+fails and reports what it decides.  ``after`` is scheduling metadata
+only — it never joins the result key, so a dependent still serves from
+cache instantly when its own inputs were computed before.
 
 Jobs execute on a persistent :class:`~repro.experiments.parallel.WorkerPool`
 under the campaign layer's :class:`RetryPolicy`, and — because serving
@@ -58,12 +60,13 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SpecError
 from repro.experiments.cache import ResultCache
+from repro.experiments.dag import DependencyBook
 from repro.experiments.parallel import RetryPolicy, WorkerPool
 from repro.experiments.plan import (
     CampaignJob,
@@ -136,9 +139,6 @@ class _Job:
     #: Coalesced duplicates: jobs with this job's result key submitted
     #: while it was still in flight.  They settle when this job does.
     followers: List["_Job"] = field(default_factory=list)
-    #: Predecessor job ids still outstanding; the job queues only once
-    #: this drains (the app's ``_waiting`` index is the reverse edge).
-    waiting_on: set = field(default_factory=set)
 
     async def emit(self, event: str, **fields: Any) -> None:
         record: Dict[str, Any] = {
@@ -176,8 +176,8 @@ class ServiceApp:
         #: result_key -> job_id of the in-flight leader for that key;
         #: duplicate submissions attach to it instead of queueing.
         self._inflight: Dict[str, str] = {}
-        #: predecessor job_id -> jobs parked until it settles.
-        self._waiting: Dict[str, List[_Job]] = {}
+        #: The dependency rule; every stored job is one of its nodes.
+        self._book = DependencyBook()
         #: Highest job sequence number ever issued; ids at or below it
         #: that are missing from the store were evicted (410, not 404).
         self._last_job_seq = 0
@@ -362,31 +362,17 @@ class ServiceApp:
         await self._on_terminal(job)
 
     async def _on_terminal(self, job: _Job) -> None:
-        """Wake the jobs parked on *job*: queue the ready, fail the
-        blocked (transitively, via their own ``_settle``)."""
-        dependents = self._waiting.pop(job.status.job_id, [])
-        for dep in dependents:
-            dep.waiting_on.discard(job.status.job_id)
-            if dep.status.state != "queued":
-                # Already failed through another predecessor.
-                continue
-            if job.status.state == "failed":
-                dep.waiting_on.clear()
-                dep.status.state = "failed"
-                dep.status.detail = f"predecessor {job.status.job_id} failed"
-                dep.status.finished_at = time.time()
-                dep.status.waiting_on = ()
-                self.telemetry.inc("service.jobs_blocked")
-                await dep.emit(
-                    "failed", error=dep.status.detail,
-                    blocked_by=job.status.job_id,
-                )
-                await self._settle(dep)
-                continue
-            if dep.waiting_on:
-                dep.status.waiting_on = tuple(sorted(dep.waiting_on))
-                continue
-            dep.status.waiting_on = ()
+        """Settle *job* in the dependency book, then fail the jobs it
+        blocked and queue the jobs it released."""
+        job_id = job.status.job_id
+        if job.status.state == "done":
+            update = self._book.succeed(job_id)
+        else:
+            update = self._book.fail(job_id)
+        for dep_id, via in update.blocked:
+            await self._block(self.jobs[dep_id], via)
+        for dep_id in update.ready:
+            dep = self.jobs[dep_id]
             assert self._queue is not None
             try:
                 self._queue.put_nowait(dep)
@@ -401,7 +387,20 @@ class ServiceApp:
                 await self._settle(dep)
                 continue
             self.telemetry.inc("service.jobs_released")
-            await dep.emit("queued", released_by=job.status.job_id)
+            await dep.emit("queued", released_by=job_id)
+
+    async def _block(self, job: _Job, via: str) -> None:
+        """Fail *job* unrun: its predecessor *via* failed."""
+        job.status.state = "failed"
+        job.status.detail = f"predecessor {via} failed"
+        job.status.finished_at = time.time()
+        self.telemetry.inc("service.jobs_blocked")
+        await job.emit("failed", error=job.status.detail, blocked_by=via)
+
+    def _status(self, job: _Job) -> Dict[str, Any]:
+        """*job*'s status as answered, ``waiting_on`` read off the book."""
+        waiting_on = self._book.waiting_on(job.status.job_id)
+        return replace(job.status, waiting_on=tuple(sorted(waiting_on))).to_dict()
 
     def _was_issued(self, job_id: str) -> bool:
         """Whether an id missing from the store was once a real job.
@@ -440,6 +439,7 @@ class ServiceApp:
         ]
         for job_id in expired:
             del self.jobs[job_id]
+            self._book.forget(job_id)
         if expired:
             self.telemetry.inc("service.jobs_evicted", len(expired))
         return len(expired)
@@ -520,7 +520,7 @@ class ServiceApp:
                 )
                 return
             if len(parts) == 3 and method == "GET":
-                await self._send_json(send, 200, job.status.to_dict(), request_id)
+                await self._send_json(send, 200, self._status(job), request_id)
                 return
             if parts[3:] == ["result"] and method == "GET":
                 await self._result(job, send, request_id)
@@ -564,7 +564,7 @@ class ServiceApp:
                 "depth": self._queue.qsize() if self._queue is not None else 0,
                 "limit": self.config.queue_limit,
                 "waiting": sum(
-                    1 for job in self.jobs.values() if job.waiting_on
+                    1 for job_id in self.jobs if self._book.waiting_on(job_id)
                 ),
             },
             "pool": {"jobs": self.pool.jobs, "mode": self.pool.mode},
@@ -592,6 +592,13 @@ class ServiceApp:
             payload = json.loads(body.decode("utf-8") or "null")
             request = JobRequest.from_payload(payload)
             key = request.result_key()
+            # Dependency edges are validated at the edge like everything
+            # else: every id in "after" must name a job the store still
+            # knows (evicted ids get a distinct message).
+            for pred_id in request.after:
+                if pred_id not in self.jobs:
+                    hint = "evicted" if self._was_issued(pred_id) else "unknown"
+                    raise SpecError(f"'after' references {hint} job {pred_id!r}")
         except SpecError as error:
             self.telemetry.inc("service.rejected_invalid")
             await self._send_json(send, 400, {"error": str(error)}, request_id)
@@ -602,26 +609,6 @@ class ServiceApp:
                 send, 400, {"error": f"body is not valid JSON: {error}"}, request_id
             )
             return
-
-        # Dependency edges are validated at the edge like everything
-        # else: every id in "after" must name a job the store still
-        # knows (evicted ids get a distinct message).
-        predecessors: List[_Job] = []
-        for pred_id in request.after:
-            pred = self.jobs.get(pred_id)
-            if pred is None:
-                hint = (
-                    "evicted" if self._was_issued(pred_id) else "unknown"
-                )
-                self.telemetry.inc("service.rejected_invalid")
-                await self._send_json(
-                    send,
-                    400,
-                    {"error": f"'after' references {hint} job {pred_id!r}"},
-                    request_id,
-                )
-                return
-            predecessors.append(pred)
 
         seq = next(self._ids)
         self._last_job_seq = seq
@@ -634,7 +621,10 @@ class ServiceApp:
         job = _Job(request=request, status=status, changed=asyncio.Condition())
         cached = cached_payload(self.cache, key)
         if cached is not None:
-            # Served entirely at the edge: the worker pool is untouched.
+            # Served entirely at the edge: the worker pool is untouched,
+            # and `after` never delays a hit.
+            self._book.add(job_id)
+            self._book.succeed(job_id)
             status.state = "done"
             status.cached = True
             status.finished_at = status.submitted_at
@@ -647,36 +637,20 @@ class ServiceApp:
             await self._send_json(send, 200, status.to_dict(), request_id)
             return
 
-        failed_pred = next(
-            (p for p in predecessors if p.status.state == "failed"), None
-        )
-        if failed_pred is not None:
-            status.state = "failed"
-            status.detail = f"predecessor {failed_pred.status.job_id} failed"
-            status.finished_at = status.submitted_at
+        update = self._book.add(job_id, request.after)
+        if update.blocked:
+            [(_, via)] = update.blocked
             self.jobs[job_id] = job
-            self.telemetry.inc("service.jobs_blocked")
-            await job.emit(
-                "failed", error=status.detail,
-                blocked_by=failed_pred.status.job_id,
-            )
-            await self._send_json(send, 202, status.to_dict(), request_id)
+            await self._block(job, via)
+            await self._send_json(send, 202, self._status(job), request_id)
             return
-
-        pending_preds = [
-            p for p in predecessors if p.status.state in ("queued", "running")
-        ]
-        if pending_preds:
+        if not update.ready:
             # Park: the job holds no queue slot and no worker until its
             # last outstanding predecessor settles.
-            job.waiting_on = {p.status.job_id for p in pending_preds}
-            status.waiting_on = tuple(sorted(job.waiting_on))
-            for pred in pending_preds:
-                self._waiting.setdefault(pred.status.job_id, []).append(job)
             self.jobs[job_id] = job
             self.telemetry.inc("service.jobs_waiting")
-            await job.emit("waiting", on=sorted(job.waiting_on))
-            await self._send_json(send, 202, status.to_dict(), request_id)
+            await job.emit("waiting", on=sorted(self._book.waiting_on(job_id)))
+            await self._send_json(send, 202, self._status(job), request_id)
             return
 
         leader_id = self._inflight.get(key)
@@ -697,6 +671,7 @@ class ServiceApp:
         try:
             self._queue.put_nowait(job)
         except asyncio.QueueFull:
+            self._book.forget(job_id)
             self.telemetry.inc("service.rejected_queue")
             await self._send_json(
                 send,

@@ -1,5 +1,5 @@
 """Unit contract of the DAG campaign layer: graph validation, the
-dependency-aware dispatcher, checkpoint framing, and the post-run
+dependency book, the dependency-aware dispatcher, checkpoint framing, and the post-run
 report — plus the registry face of ``after``."""
 
 import pytest
@@ -12,6 +12,7 @@ from repro.experiments.dag import (
     CampaignState,
     CheckpointStore,
     CompletedTask,
+    DependencyBook,
     build_report,
     decode_state,
     encode_state,
@@ -70,13 +71,6 @@ def test_cycles_raise(nodes):
         CampaignDag(nodes)
 
 
-def test_descendants_are_transitive_and_exclude_roots():
-    dag = _diamond()
-    assert dag.descendants(["a"]) == ["b", "c", "d"]
-    assert dag.descendants(["b"]) == ["d"]
-    assert dag.descendants(["e"]) == []
-
-
 def test_critical_path_weighs_recorded_seconds():
     dag = _diamond()
     path, total = dag.critical_path(
@@ -88,6 +82,56 @@ def test_critical_path_weighs_recorded_seconds():
     path, total = dag.critical_path({"e": 3.0})
     assert path == ["e"]
     assert total == pytest.approx(3.0)
+
+
+# ---------------------------------------------------------------------------
+# The dependency book
+# ---------------------------------------------------------------------------
+
+
+def _book(nodes) -> DependencyBook:
+    book = DependencyBook()
+    for node, preds in nodes:
+        book.add(node, preds)
+    return book
+
+
+def test_book_releases_on_the_last_predecessor():
+    book = _book([("a", ()), ("b", ()), ("d", ("a", "b"))])
+    assert book.waiting_on("d") == {"a", "b"}
+    assert book.succeed("a").ready == ()
+    assert book.waiting_on("d") == {"b"}
+    assert book.succeed("b").ready == ("d",)
+    assert book.waiting_on("d") == frozenset()
+    # A node added after its predecessors succeeded is ready at once.
+    assert book.add("e", ("a", "a")).ready == ("e",)
+
+
+def test_book_failure_cascades_depth_first_in_insertion_order():
+    """Each blocked node names the direct predecessor that reached it
+    first: d is blocked via b, the successor a registered first."""
+    dag = _diamond()
+    book = _book([(node, dag.predecessors(node)) for node in dag.nodes])
+    assert book.fail("a").blocked == (("b", "a"), ("d", "b"), ("c", "a"))
+    # A late dependent of a blocked node is blocked on arrival.
+    assert book.add("z", ("e", "d")).blocked == (("z", "d"),)
+
+
+def test_book_rejects_unknown_predecessors_and_early_settles():
+    book = _book([("a", ())])
+    with pytest.raises(ConfigurationError, match="unknown node"):
+        book.add("b", ("ghost",))
+    book.add("b", ("a",))
+    with pytest.raises(ConfigurationError, match="not ready"):
+        book.succeed("b")  # still waiting on a
+
+
+def test_book_forget_drops_a_node():
+    book = _book([("a", ())])
+    book.succeed("a")
+    book.forget("a")
+    with pytest.raises(ConfigurationError, match="unknown node"):
+        book.add("b", ("a",))
 
 
 # ---------------------------------------------------------------------------

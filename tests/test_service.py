@@ -900,3 +900,207 @@ class TestJobDependencies:
                 chaos=WorkerChaos(seed=7, probability=1.0, max_crashes=99),
             ),
         )
+
+    # Submits never yield to the event loop, so a job submitted just
+    # before its dependent is still queued when the dependent arrives.
+
+    @staticmethod
+    async def _submit(app, payload):
+        status, _, body = await submit(app, payload)
+        return status, json.loads(body)
+
+    @staticmethod
+    async def _events(app, job_id):
+        """The job's stream events in order (metric records dropped)."""
+        status, _, payload = await asgi_request(
+            app, "GET", f"/v1/jobs/{job_id}/stream"
+        )
+        assert status == 200
+        records = [json.loads(line) for line in payload.decode().splitlines()]
+        return [record for record in records if "event" in record]
+
+    @staticmethod
+    def _kill_only(seed):
+        """Retry/chaos knobs that fail every attempt of the job with
+        *seed*'s scenario and leave every other job clean."""
+        key = JobRequest.from_payload({"scenario": scenario_dict(seed=seed)})
+        return dict(
+            retry=RetryPolicy(max_attempts=1, base_delay=0.0),
+            chaos=WorkerChaos(
+                seed=7,
+                probability=1.0,
+                max_crashes=99,
+                only_label=f"service:{key.result_key()[:12]}",
+            ),
+        )
+
+    def test_repeated_after_id_runs_the_dependent_once(self, tmp_path):
+        """`"after": [A, A]` names A once: J is released once, queued
+        once and run once."""
+
+        async def body(app):
+            _, a = await self._submit(app, {"scenario": scenario_dict(seed=1)})
+            a = a["job_id"]
+            status, j = await self._submit(
+                app, {"scenario": scenario_dict(seed=2), "after": [a, a]}
+            )
+            assert status == 202 and j["waiting_on"] == [a]
+            assert (await wait_done(app, j["job_id"]))["state"] == "done"
+            await app._queue.join()
+            events = await self._events(app, j["job_id"])
+            assert [e["event"] for e in events] == [
+                "waiting", "queued", "running", "done",
+            ]
+            assert app.pool.tasks_run == 2
+            released = app.telemetry.metrics.counter("service.jobs_released")
+            assert released.value == 1
+
+        run_app(body, ServiceConfig(jobs=1, cache_dir=tmp_path / "cache"))
+
+    def test_submit_after_failed_predecessor_is_blocked_at_once(
+        self, tmp_path
+    ):
+        async def body(app):
+            _, a = await self._submit(app, {"scenario": scenario_dict(seed=1)})
+            a = a["job_id"]
+            assert (await wait_done(app, a))["state"] == "failed"
+            ran = app.pool.tasks_run
+            status, j = await self._submit(
+                app, {"scenario": scenario_dict(seed=2), "after": [a]}
+            )
+            assert status == 202
+            assert j["state"] == "failed"
+            assert j["detail"] == f"predecessor {a} failed"
+            events = await self._events(app, j["job_id"])
+            assert [(e["event"], e.get("blocked_by")) for e in events] == [
+                ("failed", a)
+            ]
+            assert app.pool.tasks_run == ran
+
+        run_app(
+            body,
+            ServiceConfig(
+                jobs=1, cache_dir=tmp_path / "cache", **self._kill_only(1)
+            ),
+        )
+
+    def test_diamond_blocks_each_descendant_once_via_first_successor(
+        self, tmp_path
+    ):
+        """A <- {B, C} <- D with A killed: three blocked jobs, and D's
+        detail names B, the successor A registered first."""
+
+        async def body(app):
+            ids = {}
+            for name, seed, after in (
+                ("A", 1, []), ("B", 2, ["A"]), ("C", 3, ["A"]),
+                ("D", 4, ["B", "C"]),
+            ):
+                status, data = await self._submit(
+                    app,
+                    {
+                        "scenario": scenario_dict(seed=seed),
+                        "after": [ids[pred] for pred in after],
+                    },
+                )
+                assert status == 202
+                ids[name] = data["job_id"]
+            finals = {name: await wait_done(app, i) for name, i in ids.items()}
+            assert {f["state"] for f in finals.values()} == {"failed"}
+            assert finals["D"]["detail"] == f"predecessor {ids['B']} failed"
+            events = await self._events(app, ids["D"])
+            assert events[-1]["blocked_by"] == ids["B"]
+            blocked = app.telemetry.metrics.counter("service.jobs_blocked")
+            assert blocked.value == 3
+            assert app.pool.tasks_run == 1
+
+        run_app(
+            body,
+            ServiceConfig(
+                jobs=1, cache_dir=tmp_path / "cache", **self._kill_only(1)
+            ),
+        )
+
+    def test_two_predecessors_release_on_the_last(self, tmp_path):
+        async def body(app):
+            ids = []
+            for seed in (1, 2):
+                _, data = await self._submit(
+                    app, {"scenario": scenario_dict(seed=seed)}
+                )
+                ids.append(data["job_id"])
+            _, j = await self._submit(
+                app, {"scenario": scenario_dict(seed=3), "after": ids}
+            )
+            assert (await wait_done(app, j["job_id"]))["state"] == "done"
+            waiting, queued = (await self._events(app, j["job_id"]))[:2]
+            assert (waiting["event"], waiting["on"]) == ("waiting", ids)
+            assert (queued["event"], queued["released_by"]) == (
+                "queued", ids[1],
+            )
+
+        run_app(body, ServiceConfig(jobs=1, cache_dir=tmp_path / "cache"))
+
+    def test_cached_dependent_never_waits(self, tmp_path):
+        """A cache hit completes at submit whatever its predecessor is
+        doing: still queued, or already failed."""
+
+        async def body(app):
+            hit = {"scenario": scenario_dict(seed=2)}
+            _, first = await self._submit(app, hit)
+            assert (await wait_done(app, first["job_id"]))["state"] == "done"
+            _, a = await self._submit(app, {"scenario": scenario_dict(seed=1)})
+            a = a["job_id"]
+            for predecessor_state in ("queued", "failed"):
+                assert app.jobs[a].status.state == predecessor_state
+                status, j = await self._submit(app, dict(hit, after=[a]))
+                assert status == 200
+                assert (j["state"], j["cached"]) == ("done", True)
+                await wait_done(app, a)
+
+        run_app(
+            body,
+            ServiceConfig(
+                jobs=1, cache_dir=tmp_path / "cache", **self._kill_only(1)
+            ),
+        )
+
+    def test_coalesced_follower_settles_its_dependents(self, tmp_path):
+        """A follower named in `after` releases its dependents when its
+        leader succeeds, and blocks them when its leader fails."""
+
+        async def body(app):
+            followers, dependents = [], []
+            for seed in (2, 1):  # seed 1's leader is killed
+                leader = {"scenario": scenario_dict(seed=seed)}
+                await self._submit(app, leader)
+                status, follower = await self._submit(app, leader)
+                assert status == 202
+                followers.append(follower["job_id"])
+                _, dependent = await self._submit(
+                    app,
+                    {
+                        "scenario": scenario_dict(seed=seed + 10),
+                        "after": followers[-1:],
+                    },
+                )
+                dependents.append(dependent["job_id"])
+            finals = [await wait_done(app, j) for j in dependents]
+            assert [f["state"] for f in finals] == ["done", "failed"]
+            released, blocked = [
+                await self._events(app, j) for j in dependents
+            ]
+            assert [e["event"] for e in released] == [
+                "waiting", "queued", "running", "done",
+            ]
+            assert released[1]["released_by"] == followers[0]
+            assert [e["event"] for e in blocked] == ["waiting", "failed"]
+            assert blocked[1]["blocked_by"] == followers[1]
+            assert finals[1]["detail"] == f"predecessor {followers[1]} failed"
+
+        run_app(
+            body,
+            ServiceConfig(
+                jobs=1, cache_dir=tmp_path / "cache", **self._kill_only(1)
+            ),
+        )
