@@ -27,9 +27,12 @@ hits) is visible through the health endpoint and the CLI's
 ``--metrics-out``.
 
 The job store is bounded and duplicate-free: terminal jobs expire after
-``job_ttl`` seconds (polling an evicted id answers **410 Gone**), and a
-submit whose result key matches a job still in flight attaches to it
-instead of queueing duplicate work.  Every dequeued job runs through the
+``job_ttl`` seconds (polling an evicted id answers **410 Gone**), and no
+result key is worked on twice at once.  Every job is admitted one way,
+whether it was just submitted or was just released by its last
+predecessor: a cached key completes at once, a key still in flight
+coalesces onto the job that leads it (and settles with it), and any
+other key queues as its own leader.  Every dequeued job runs through the
 campaign planner (:mod:`repro.experiments.plan`); with
 ``batch_window > 0`` a worker lingers briefly after each dequeue so the
 planner's cohorts can coalesce queued vec-compatible jobs into shared
@@ -40,10 +43,11 @@ Submissions may form a DAG: ``"after": ["job-1", ...]`` parks a job
 until the named predecessors settle (unknown ids are a 400 at the
 edge; a failed predecessor fails the dependent with the blocking id in
 its detail, transitively).  The rule is the campaign layer's
-:class:`~repro.experiments.dag.DependencyBook`; this app only queues,
+:class:`~repro.experiments.dag.DependencyBook`; this app only admits,
 fails and reports what it decides.  ``after`` is scheduling metadata
-only — it never joins the result key, so a dependent still serves from
-cache instantly when its own inputs were computed before.
+only — it never joins the result key, and a submit reads the cache
+before the book, so a dependent still serves from cache instantly when
+its own inputs were computed before.
 
 Jobs execute on a persistent :class:`~repro.experiments.parallel.WorkerPool`
 under the campaign layer's :class:`RetryPolicy`, and — because serving
@@ -136,9 +140,6 @@ class _Job:
     result: Optional[JobResult] = None
     events: List[Dict[str, Any]] = field(default_factory=list)
     changed: Optional[asyncio.Condition] = None
-    #: Coalesced duplicates: jobs with this job's result key submitted
-    #: while it was still in flight.  They settle when this job does.
-    followers: List["_Job"] = field(default_factory=list)
 
     async def emit(self, event: str, **fields: Any) -> None:
         record: Dict[str, Any] = {
@@ -173,9 +174,9 @@ class ServiceApp:
         self.telemetry = Telemetry()
         self.jobs: Dict[str, _Job] = {}
         self.started_at = time.time()
-        #: result_key -> job_id of the in-flight leader for that key;
-        #: duplicate submissions attach to it instead of queueing.
-        self._inflight: Dict[str, str] = {}
+        #: result_key -> the jobs in flight for it: the leader that runs,
+        #: then the followers that settle with it.
+        self._inflight: Dict[str, List[_Job]] = {}
         #: The dependency rule; every stored job is one of its nodes.
         self._book = DependencyBook()
         #: Highest job sequence number ever issued; ids at or below it
@@ -237,14 +238,7 @@ class ServiceApp:
             except Exception as error:
                 # Nothing may end a worker: fail what the group left
                 # unsettled, so its followers and dependents still wake.
-                await self._fail(
-                    [
-                        job
-                        for job in group
-                        if job.status.state in ("queued", "running")
-                    ],
-                    error,
-                )
+                await self._fail(group, error)
             finally:
                 for _ in group:
                     self._queue.task_done()
@@ -312,90 +306,122 @@ class ServiceApp:
                     # The result stands; only its cache entry is lost.
                     self.telemetry.inc("service.cache_put_errors")
                 job.status.attempts = timing.attempts
-                job.result = JobResult(
-                    job_id=job.status.job_id,
-                    result_key=job.status.result_key,
-                    cached=False,
-                    payload=payload,
-                )
-                job.status.state = "done"
-                job.status.finished_at = time.time()
                 self.telemetry.inc("service.jobs_completed")
-                await job.emit("done", attempts=timing.attempts, **done)
-                await self._settle(job)
+                await self._finish(
+                    job, "done", payload=payload, attempts=timing.attempts, **done
+                )
 
     async def _fail(self, jobs: List[_Job], error: Exception) -> None:
-        """Fail *jobs* with *error*, settling each one."""
+        """Fail those of *jobs* not yet settled with *error*."""
         for job in jobs:
-            job.status.state = "failed"
-            job.status.detail = repr(error)
-            job.status.finished_at = time.time()
-            self.telemetry.inc("service.jobs_failed")
-            await job.emit("failed", error=repr(error))
-            await self._settle(job)
-
-    async def _settle(self, job: _Job) -> None:
-        """Propagate a terminal job to its coalesced followers and
-        release (or fail) anything parked on it."""
-        if self._inflight.get(job.status.result_key) == job.status.job_id:
-            del self._inflight[job.status.result_key]
-        followers, job.followers = job.followers, []
-        for follower in followers:
-            follower.status.state = job.status.state
-            follower.status.detail = job.status.detail
-            follower.status.attempts = job.status.attempts
-            follower.status.finished_at = job.status.finished_at
-            if job.result is not None:
-                follower.result = JobResult(
-                    job_id=follower.status.job_id,
-                    result_key=follower.status.result_key,
-                    cached=False,
-                    payload=job.result.payload,
-                )
-                await follower.emit("done", coalesced_with=job.status.job_id)
-            else:
-                await follower.emit(
-                    "failed", error=job.status.detail,
-                    coalesced_with=job.status.job_id,
-                )
-            await self._on_terminal(follower)
-        await self._on_terminal(job)
-
-    async def _on_terminal(self, job: _Job) -> None:
-        """Settle *job* in the dependency book, then fail the jobs it
-        blocked and queue the jobs it released."""
-        job_id = job.status.job_id
-        if job.status.state == "done":
-            update = self._book.succeed(job_id)
-        else:
-            update = self._book.fail(job_id)
-        for dep_id, via in update.blocked:
-            await self._block(self.jobs[dep_id], via)
-        for dep_id in update.ready:
-            dep = self.jobs[dep_id]
-            assert self._queue is not None
-            try:
-                self._queue.put_nowait(dep)
-            except asyncio.QueueFull:
-                # Parked jobs never reserved queue capacity; degrade the
-                # same way an over-full submit would, but per job.
-                dep.status.state = "failed"
-                dep.status.detail = "job queue full when dependencies released"
-                dep.status.finished_at = time.time()
-                self.telemetry.inc("service.rejected_queue")
-                await dep.emit("failed", error=dep.status.detail)
-                await self._settle(dep)
-                continue
-            self.telemetry.inc("service.jobs_released")
-            await dep.emit("queued", released_by=job_id)
+            if job.status.state in ("queued", "running"):
+                self.telemetry.inc("service.jobs_failed")
+                await self._finish(job, "failed", repr(error))
 
     async def _block(self, job: _Job, via: str) -> None:
         """Fail *job* unrun: its predecessor *via* failed."""
-        job.status.state = "failed"
-        job.status.detail = f"predecessor {via} failed"
-        job.status.finished_at = time.time()
         self.telemetry.inc("service.jobs_blocked")
-        await job.emit("failed", error=job.status.detail, blocked_by=via)
+        await self._finish(job, "failed", f"predecessor {via} failed", blocked_by=via)
+
+    async def _admit(self, job: _Job, released_by: Optional[str] = None) -> bool:
+        """Admit *job*: a fresh submit, or a dependent the book released
+        when *released_by* settled.  ``False`` means the queue was full.
+
+        Both take one path: a cached key finishes at once, a key in
+        flight coalesces onto its leader, and any other key queues as
+        its own leader.  A submit enters the book after the cache read,
+        so ``after`` never delays a hit; otherwise it waits for its
+        predecessors, or is blocked at once if one failed.
+        """
+        job_id, key = job.status.job_id, job.status.result_key
+        hit = cached_payload(self.cache, key)
+        released = {} if released_by is None else {"released_by": released_by}
+        if released_by is None:
+            preds = () if hit is not None else job.request.after
+            update = self._book.add(job_id, preds)
+            if update.blocked:
+                [(_, via)] = update.blocked
+                await self._block(job, via)
+                return True
+            if not update.ready:
+                # Park: the job holds no queue slot and no worker until
+                # its last outstanding predecessor settles.
+                self.telemetry.inc("service.jobs_waiting")
+                await job.emit("waiting", on=sorted(self._book.waiting_on(job_id)))
+                return True
+        if hit is not None:
+            self.telemetry.inc("service.cache_hits")
+            await self._finish(job, "done", payload=hit, cached=True, **released)
+            return True
+        flight = self._inflight.get(key)
+        if flight is not None:
+            # Identical work is in flight: settle with it instead of
+            # running it twice.
+            job.status.state = flight[0].status.state
+            flight.append(job)
+            self.telemetry.inc("service.jobs_coalesced")
+            await job.emit("coalesced", leader=flight[0].status.job_id, **released)
+            return True
+        assert self._queue is not None
+        try:
+            self._queue.put_nowait(job)
+        except asyncio.QueueFull:
+            self.telemetry.inc("service.rejected_queue")
+            if released_by is not None:
+                # Parked jobs never reserved queue capacity; degrade the
+                # way an over-full submit does, but per job.
+                await self._finish(
+                    job, "failed", "job queue full when dependencies released"
+                )
+            return False
+        self._inflight[key] = [job]
+        self.telemetry.inc("service.jobs_queued")
+        await job.emit("queued", **released)
+        return True
+
+    async def _finish(
+        self, job: _Job, state: str, detail: str = "", payload: Any = None, **event: Any
+    ) -> None:
+        """End *job* in terminal *state* with *detail* (the ``error`` of
+        a failure) or *payload* (its result), emit the terminal event
+        with *event*'s fields, then settle it.  A blocked job needs no
+        settling: the book blocked it."""
+        status = job.status
+        status.state, status.detail = state, detail
+        status.cached = bool(event.get("cached"))
+        status.finished_at = time.time()
+        if payload is not None:
+            job.result = JobResult(
+                status.job_id, status.result_key, status.cached, payload
+            )
+        await job.emit(state, **({"error": detail} if detail else {}), **event)
+        if "blocked_by" not in event:
+            await self._settle(job)
+
+    async def _settle(self, job: _Job) -> None:
+        """Settle terminal *job*: the followers coalesced onto it finish
+        with it, then the book's update is applied — the jobs *job*
+        blocked fail, and the jobs it released are admitted."""
+        status = job.status
+        flight = self._inflight.get(status.result_key)
+        if flight is not None and flight[0] is job:
+            del self._inflight[status.result_key]
+            for follower in flight[1:]:
+                follower.status.attempts = status.attempts
+                await self._finish(
+                    follower,
+                    status.state,
+                    status.detail,
+                    job.result.payload if job.result is not None else None,
+                    coalesced_with=status.job_id,
+                )
+        settle = self._book.succeed if status.state == "done" else self._book.fail
+        update = settle(status.job_id)
+        for dep_id, via in update.blocked:
+            await self._block(self.jobs[dep_id], via)
+        for dep_id in update.ready:
+            if await self._admit(self.jobs[dep_id], released_by=status.job_id):
+                self.telemetry.inc("service.jobs_released")
 
     def _status(self, job: _Job) -> Dict[str, Any]:
         """*job*'s status as answered, ``waiting_on`` read off the book."""
@@ -619,60 +645,10 @@ class ServiceApp:
             submitted_at=time.time(),
         )
         job = _Job(request=request, status=status, changed=asyncio.Condition())
-        cached = cached_payload(self.cache, key)
-        if cached is not None:
-            # Served entirely at the edge: the worker pool is untouched,
-            # and `after` never delays a hit.
-            self._book.add(job_id)
-            self._book.succeed(job_id)
-            status.state = "done"
-            status.cached = True
-            status.finished_at = status.submitted_at
-            job.result = JobResult(
-                job_id=job_id, result_key=key, cached=True, payload=cached
-            )
-            self.jobs[job_id] = job
-            self.telemetry.inc("service.cache_hits")
-            await job.emit("done", cached=True)
-            await self._send_json(send, 200, status.to_dict(), request_id)
-            return
-
-        update = self._book.add(job_id, request.after)
-        if update.blocked:
-            [(_, via)] = update.blocked
-            self.jobs[job_id] = job
-            await self._block(job, via)
-            await self._send_json(send, 202, self._status(job), request_id)
-            return
-        if not update.ready:
-            # Park: the job holds no queue slot and no worker until its
-            # last outstanding predecessor settles.
-            self.jobs[job_id] = job
-            self.telemetry.inc("service.jobs_waiting")
-            await job.emit("waiting", on=sorted(self._book.waiting_on(job_id)))
-            await self._send_json(send, 202, self._status(job), request_id)
-            return
-
-        leader_id = self._inflight.get(key)
-        leader = self.jobs.get(leader_id) if leader_id is not None else None
-        if leader is not None and leader.status.state in ("queued", "running"):
-            # Identical work is already in flight: attach to it instead
-            # of queueing a duplicate.  The follower settles (result,
-            # state, events) when the leader does.
-            status.state = leader.status.state
-            leader.followers.append(job)
-            self.jobs[job_id] = job
-            self.telemetry.inc("service.jobs_coalesced")
-            await job.emit("coalesced", leader=leader.status.job_id)
-            await self._send_json(send, 202, status.to_dict(), request_id)
-            return
-
-        assert self._queue is not None
-        try:
-            self._queue.put_nowait(job)
-        except asyncio.QueueFull:
+        self.jobs[job_id] = job
+        if not await self._admit(job):
+            del self.jobs[job_id]
             self._book.forget(job_id)
-            self.telemetry.inc("service.rejected_queue")
             await self._send_json(
                 send,
                 503,
@@ -684,11 +660,9 @@ class ServiceApp:
                 extra_headers=[(b"retry-after", b"1")],
             )
             return
-        self.jobs[job_id] = job
-        self._inflight[key] = job_id
-        self.telemetry.inc("service.jobs_queued")
-        await job.emit("queued")
-        await self._send_json(send, 202, status.to_dict(), request_id)
+        await self._send_json(
+            send, 200 if status.cached else 202, self._status(job), request_id
+        )
 
     async def _result(self, job: _Job, send, request_id: str) -> None:
         if job.status.state == "failed":

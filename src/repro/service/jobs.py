@@ -28,7 +28,8 @@ JOB_STATES = ("queued", "running", "done", "failed")
 #: backend's default ``dt`` (50,000 s at 0.05 s).  A vec job shares its
 #: kernel launch with every queued job of the same ``dt``, so one
 #: unbounded horizon would hold them all; scalar jobs are held to the
-#: same horizon.
+#: same horizon, and a scenario's own workload horizon and event
+#: schedule to the same span.
 MAX_JOB_STEPS = 1_000_000
 
 
@@ -101,6 +102,7 @@ class JobRequest:
         # pool is touched, and the pinned hash makes the result key's
         # trace digest a free lookup downstream.
         scenario = resolve_scenario_traces(scenario)
+        _check_scenario_span(scenario)
 
         system = envelope.get("system")
         if system is not None:
@@ -113,17 +115,7 @@ class JobRequest:
             horizon = float(horizon)
             if not math.isfinite(horizon) or horizon <= 0.0:
                 raise SpecError(f"horizon must be finite and > 0, got {horizon}")
-            from repro.experiments.plan import DEFAULT_VEC_DT
-
-            # Compared as a float: a huge horizon overflows to inf steps.
-            steps = horizon / DEFAULT_VEC_DT
-            if steps > MAX_JOB_STEPS + 0.5:
-                raise SpecError(
-                    f"horizon {horizon} s is {steps:.0f} steps at dt="
-                    f"{DEFAULT_VEC_DT:g} s, over the step budget of "
-                    f"{MAX_JOB_STEPS} steps "
-                    f"({MAX_JOB_STEPS * DEFAULT_VEC_DT:g} s)"
-                )
+            _check_steps("horizon", horizon)
 
         faults_json = None
         faults_data = envelope.get("faults")
@@ -202,6 +194,50 @@ class JobRequest:
         if self.after:
             data["after"] = list(self.after)
         return data
+
+
+def _check_steps(what: str, seconds: float) -> None:
+    """Raise :class:`SpecError` if *seconds* of simulated time take more
+    than :data:`MAX_JOB_STEPS` steps at the vec backend's default dt."""
+    from repro.experiments.plan import DEFAULT_VEC_DT
+
+    # Compared as a float: a huge span overflows to inf steps, and a NaN
+    # one fails the comparison.
+    steps = seconds / DEFAULT_VEC_DT
+    if not steps <= MAX_JOB_STEPS + 0.5:
+        raise SpecError(
+            f"{what} {seconds:g} s is {steps:.0f} steps at dt="
+            f"{DEFAULT_VEC_DT:g} s, over the step budget of {MAX_JOB_STEPS} "
+            f"steps (MAX_JOB_STEPS, {MAX_JOB_STEPS * DEFAULT_VEC_DT:g} s)"
+        )
+
+
+def _check_scenario_span(scenario) -> None:
+    """Bound the span a scenario sets itself: its workload ``horizon``
+    and its event schedule, about ``event_count x mean_interarrival``
+    seconds, with the app's defaults for fields it leaves out.
+
+    A rig is sized by that span whatever horizon the request names, so
+    it is checked here, before anything is built.
+    """
+    import inspect
+
+    from repro.apps import APPS
+
+    app = APPS.get(scenario.app)
+    params = inspect.signature(app.scenario).parameters if app else {}
+    workload = {name: param.default for name, param in params.items()}
+    workload.update(scenario.workload)
+
+    def number(name: str) -> float:
+        value = workload.get(name)
+        return float(value) if isinstance(value, (int, float)) else 0.0
+
+    _check_steps("workload horizon", number("horizon"))
+    _check_steps(
+        "event schedule (event_count x mean_interarrival)",
+        number("event_count") * number("mean_interarrival"),
+    )
 
 
 def _parse_schedule(faults_json: str):

@@ -161,6 +161,38 @@ class TestJobRequest:
                          "horizon": horizon}
                     )
 
+    def test_scenario_span_within_the_step_budget(self):
+        """A scenario's own span is bounded at the edge, before any rig
+        is built: its workload horizon and its event schedule."""
+        from repro.apps import APPS
+
+        for app in APPS.values():
+            JobRequest.from_payload(json.loads(canonical_json(app.scenario())))
+        budget = MAX_JOB_STEPS * DEFAULT_VEC_DT
+        at_budget = scenario_dict()
+        at_budget["workload"].update(
+            event_count=1, mean_interarrival=budget, horizon=budget
+        )
+        JobRequest.from_payload(at_budget)
+        for workload in (
+            {"mean_interarrival": 1e9},
+            {"mean_interarrival": 1e5},
+            {"event_count": 2, "mean_interarrival": budget},
+            {"horizon": budget + DEFAULT_VEC_DT},
+            {"horizon": 1e308},
+        ):
+            data = scenario_dict()
+            data["workload"].update(workload)
+            with pytest.raises(SpecError, match="MAX_JOB_STEPS"):
+                JobRequest.from_payload({"scenario": data, "horizon": 60})
+
+    def test_scenario_span_counts_the_apps_default_event_count(self):
+        data = scenario_dict()
+        del data["workload"]["event_count"]
+        data["workload"]["mean_interarrival"] = 5_000.0  # x 50 events
+        with pytest.raises(SpecError, match="event_count x mean_interarrival"):
+            JobRequest.from_payload(data)
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(SpecError, match="unknown backend"):
             JobRequest.from_payload(
@@ -1104,3 +1136,106 @@ class TestJobDependencies:
                 jobs=1, cache_dir=tmp_path / "cache", **self._kill_only(1)
             ),
         )
+
+    # A released dependent is admitted like a fresh submit: its key may
+    # be cached, in flight, or neither.  These apps have no workers, so
+    # each test drains the queue itself and every release lands at a
+    # known point.
+
+    @staticmethod
+    def _run_drained(body, tmp_path):
+        async def main():
+            app = ServiceApp(ServiceConfig(jobs=1, cache_dir=tmp_path / "cache"))
+            app._queue = asyncio.Queue(maxsize=4)
+            try:
+                await body(app)
+            finally:
+                app.pool.shutdown()
+
+        asyncio.run(main())
+
+    @staticmethod
+    async def _drain(app):
+        while not app._queue.empty():
+            await app._execute([app._queue.get_nowait()])
+
+    def test_released_dependent_coalesces_onto_a_queued_job(self, tmp_path):
+        """A, then P after A, then L with P's key: P is released while L
+        is queued, so it settles with L and its key runs once."""
+
+        async def body(app):
+            _, a = await self._submit(app, {"scenario": scenario_dict(seed=1)})
+            a = a["job_id"]
+            _, p = await self._submit(
+                app, {"scenario": scenario_dict(seed=2), "after": [a]}
+            )
+            _, l = await self._submit(app, {"scenario": scenario_dict(seed=2)})
+            await self._drain(app)
+            assert app.pool.tasks_run == 2
+            events = await self._events(app, p["job_id"])
+            assert [e["event"] for e in events] == [
+                "waiting", "coalesced", "done",
+            ]
+            assert (events[1]["leader"], events[1]["released_by"]) == (
+                l["job_id"], a,
+            )
+            assert events[2]["coalesced_with"] == l["job_id"]
+            assert app.jobs[p["job_id"]].result.payload == (
+                app.jobs[l["job_id"]].result.payload
+            )
+            released = app.telemetry.metrics.counter("service.jobs_released")
+            assert released.value == 1
+
+        self._run_drained(body, tmp_path)
+
+    def test_submit_coalesces_onto_a_released_dependent(self, tmp_path):
+        """P is released and queued before L, with P's key, is
+        submitted: L settles with P, which leads its key."""
+
+        async def body(app):
+            _, a = await self._submit(app, {"scenario": scenario_dict(seed=1)})
+            a = a["job_id"]
+            _, p = await self._submit(
+                app, {"scenario": scenario_dict(seed=2), "after": [a]}
+            )
+            await app._execute([app._queue.get_nowait()])
+            status, l = await self._submit(
+                app, {"scenario": scenario_dict(seed=2)}
+            )
+            assert status == 202
+            await self._drain(app)
+            assert app.pool.tasks_run == 2
+            events = await self._events(app, p["job_id"])
+            assert [(e["event"], e.get("released_by")) for e in events] == [
+                ("waiting", None), ("queued", a), ("running", None),
+                ("done", None),
+            ]
+            follower = await self._events(app, l["job_id"])
+            assert [e["event"] for e in follower] == ["coalesced", "done"]
+            assert follower[0]["leader"] == p["job_id"]
+            assert follower[1]["coalesced_with"] == p["job_id"]
+
+        self._run_drained(body, tmp_path)
+
+    def test_released_dependent_with_a_cached_key_runs_nothing(self, tmp_path):
+        """L runs P's key while P waits on A: released, P is a cache hit."""
+
+        async def body(app):
+            await self._submit(app, {"scenario": scenario_dict(seed=2)})
+            _, a = await self._submit(app, {"scenario": scenario_dict(seed=1)})
+            a = a["job_id"]
+            _, p = await self._submit(
+                app, {"scenario": scenario_dict(seed=2), "after": [a]}
+            )
+            assert p["waiting_on"] == [a]
+            await self._drain(app)
+            assert app.pool.tasks_run == 2
+            final = await wait_done(app, p["job_id"])
+            assert (final["state"], final["cached"]) == ("done", True)
+            events = await self._events(app, p["job_id"])
+            assert [e["event"] for e in events] == ["waiting", "done"]
+            assert (events[1]["cached"], events[1]["released_by"]) == (True, a)
+            hits = app.telemetry.metrics.counter("service.cache_hits")
+            assert hits.value == 1
+
+        self._run_drained(body, tmp_path)

@@ -5,14 +5,16 @@ coalesced leader, a cache entry — every job's final state and result
 payload must equal a solo :func:`~repro.service.runner.run_scenario_job`
 of the same request.  Covered: random bursts with and without a window
 (a property test), replay traces of different content and synthetic
-piecewise traces in one window, mixed horizons in one window, and a
-window batch on a forked pool.
+piecewise traces in one window, mixed horizons in one window, a
+window batch on a forked pool, and bursts with ``after`` edges and
+repeated keys, where each result key also runs at most once.
 """
 
 from __future__ import annotations
 
 import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -88,6 +90,19 @@ _submissions = st.lists(
     ),
     min_size=1,
     max_size=4,
+)
+
+
+_dependent_submissions = st.lists(
+    st.tuples(
+        st.sampled_from(["scalar", "vec"]),
+        st.integers(min_value=0, max_value=2),
+        # Indices of earlier jobs this one waits on (taken modulo its
+        # position, so every edge points back into the burst).
+        st.lists(st.integers(min_value=0, max_value=5), max_size=2),
+    ),
+    min_size=2,
+    max_size=6,
 )
 
 
@@ -187,3 +202,36 @@ class TestBatchWindowDifferential:
                 jobs=2, cache_dir=tmp_path / "cache", batch_window=0.25
             ),
         )
+
+    @settings(max_examples=8, deadline=None)
+    @given(draws=_dependent_submissions)
+    def test_dependents_and_repeats_run_each_key_once(self, draws):
+        # Few seeds, so keys repeat: a released dependent meets its key
+        # cached, in flight or absent, exactly as a fresh submit can.
+        async def body(app):
+            ids = []
+            for position, (kind, seed, picks) in enumerate(draws):
+                payload = _submission(kind, 30.0, seed)
+                if position:
+                    payload["after"] = sorted(
+                        {ids[pick % position] for pick in picks}
+                    )
+                ids.extend(await _submit_all(app, [payload]))
+            await _assert_solo_identical(app, ids)
+            runs = Counter(
+                app.jobs[job_id].status.result_key
+                for job_id in ids
+                if any(e["event"] == "running" for e in app.jobs[job_id].events)
+            )
+            assert max(runs.values()) <= 1, runs
+
+        for window in (0.25, 0.0):
+            with tempfile.TemporaryDirectory() as cache_dir:
+                run_app(
+                    body,
+                    ServiceConfig(
+                        jobs=1,
+                        cache_dir=Path(cache_dir),
+                        batch_window=window,
+                    ),
+                )
