@@ -17,11 +17,12 @@ Keying rules:
 * **code fingerprint** — SHA-256 over the contents of every ``*.py``
   file in the installed ``repro`` package (cached per process).
 
-On disk an entry lives in one of two layouts, and one reader serves
-both: single-job writers (the service, ``run_all``, scalar stragglers)
-publish one ``<key>.pkl`` file per :meth:`ResultCache.put`, while a
-campaign shard publishes all its payloads at once as one **pack**
-(:meth:`ResultCache.put_many`) under ``packs/``.
+On disk every entry lives in a **pack** under ``packs/``: a campaign
+shard publishes all its payloads at once (:meth:`ResultCache.put_many`),
+and a single-job writer (the service, ``run_all``, scalar stragglers)
+publishes a one-entry pack (:meth:`ResultCache.put`).  The newest write
+of a key wins: publishing a pack removes every other pack that holds
+one of its keys under a different payload.
 
 The cache directory defaults to ``.repro-cache`` under the current
 working directory and can be pointed elsewhere with the
@@ -30,13 +31,14 @@ working directory and can be pointed elsewhere with the
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import pickle
 import struct
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
@@ -47,32 +49,24 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".repro-cache"
 #: Bump to invalidate every existing cache entry on format changes.
 #: v2: payloads became (stdout, telemetry snapshot | None) tuples.
-#: v3: on-disk entries gained a magic + SHA-256 checksum header so any
-#: byte-level corruption is a detected (quarantined) miss, never a
-#: wrong hit.
+#: v3: on-disk entries gained SHA-256 checksums so any byte-level
+#: corruption is a detected (quarantined) miss, never a wrong hit.
 CACHE_FORMAT_VERSION = 3
 
-#: On-disk entry layout: MAGIC, then the SHA-256 digest of the body,
-#: then the pickled body.  ``get`` recomputes the digest before
-#: unpickling — a flipped bit anywhere in the body fails closed instead
-#: of deserialising garbage (pickle happily "succeeds" on many
-#: corruptions).
-CACHE_MAGIC = b"RPC3"
-_DIGEST_SIZE = hashlib.sha256().digest_size
-
-#: Subdirectory holding packs.  Kept apart from the per-key files so a
-#: reader's pack index goes stale only when a pack is published or
-#: removed, never on a per-key write.
+#: Subdirectory holding packs; a reader's pack index goes stale only
+#: when a pack is published or removed.
 PACK_DIR = "packs"
 #: Pack layout: PACK_MAGIC, the SHA-256 of the index, the index length
 #: (8-byte big-endian), the index, then the entry bodies back to back.
 #: The index is the JSON list ``[[key, offset, length, sha256-hex],
 #: ...]`` sorted by key, offsets counted from the first body; each body
-#: is the exact pickle a ``<key>.pkl`` entry holds.  A pack is named by
-#: its index digest, which covers every body through the entry digests,
-#: so equal contents always publish equal files.
+#: is one pickled payload.  ``get`` recomputes an entry's digest before
+#: unpickling it, so a flipped bit fails closed instead of deserialising
+#: garbage (pickle happily "succeeds" on many corruptions).  A pack is
+#: named by its index digest, which covers every body through the entry
+#: digests, so equal contents always publish equal files.
 PACK_MAGIC = b"RPK1"
-_PACK_HEADER = struct.Struct(f">{len(PACK_MAGIC)}s{_DIGEST_SIZE}sQ")
+_PACK_HEADER = struct.Struct(f">{len(PACK_MAGIC)}s{hashlib.sha256().digest_size}sQ")
 #: Per-pack index as held in memory: key -> (absolute offset, length,
 #: SHA-256 of the body).
 _PackIndex = Dict[str, Tuple[int, int, bytes]]
@@ -148,18 +142,6 @@ def result_key(
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _decode(body: bytes, digest: bytes) -> Tuple[bool, Any]:
-    """``(True, payload)`` if *body* matches *digest* and unpickles."""
-    if hashlib.sha256(body).digest() != digest:
-        return False, None
-    try:
-        return True, pickle.loads(body)
-    except Exception:
-        # Checksum passed but the pickle no longer decodes (e.g. classes
-        # renamed since the entry was written).
-        return False, None
-
-
 def _parse_pack(raw: bytes) -> Optional[_PackIndex]:
     """The index of pack bytes *raw*, or ``None`` if any check fails.
 
@@ -213,10 +195,8 @@ def atomic_publish(path: Path, chunks: Sequence[bytes]) -> None:
                 tmp.write(chunk)
         os.replace(tmp_name, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp_name)
-        except OSError:
-            pass
         raise
 
 
@@ -232,22 +212,17 @@ class CacheStats:
     corrupt: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "corrupt": self.corrupt,
-        }
+        return asdict(self)
 
 
 @dataclass
 class ResultCache:
-    """Pickle-on-disk key/value store for experiment payloads.
+    """Pickle-on-disk key/value store for experiment payloads, in packs.
 
     Payloads must be picklable; the experiment layer stores
-    (captured stdout, headline values) tuples.  Writes are atomic
-    (temp file + rename) so a crashed run never leaves a truncated
-    entry behind.
+    (captured stdout, headline values) tuples.  Every write publishes
+    one pack, staged in a temp file and renamed into place, so a crashed
+    run never leaves a truncated entry behind.
     """
 
     root: Path = field(default_factory=default_cache_dir)
@@ -269,9 +244,6 @@ class ResultCache:
         default=None, init=False, repr=False, compare=False
     )
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.pkl"
-
     @property
     def _pack_root(self) -> Path:
         return self.root / PACK_DIR
@@ -279,40 +251,19 @@ class ResultCache:
     def get(self, key: str) -> Optional[Any]:
         """The stored payload, or ``None`` on miss/corruption.
 
-        The ``<key>.pkl`` file is read first; without one, the key is
-        looked up in the packs.  A present-but-unreadable entry is
-        treated as a miss: it is counted, reported via the
-        ``cache.corrupt_entries`` telemetry counter, and removed so the
-        re-computed result can replace it — for a pack, the whole pack
-        goes.  "Unreadable" is decided by checksums, not by whether
-        pickle happens to raise: a truncated write, a flipped bit, a
-        wrong-magic or pre-v3 entry all fail a digest check before any
-        byte is deserialised, so corruption can never surface as a
-        wrong hit.
+        One path: refresh the pack index if ``packs/`` changed (a cold
+        miss on an unchanged directory costs one ``stat`` and opens
+        nothing), then read the entry and check its digest.  A
+        present-but-unreadable entry is treated as a miss: it is
+        counted, reported via the ``cache.corrupt_entries`` telemetry
+        counter, and its whole pack is removed so the re-computed
+        result can replace it.  "Unreadable" is decided by checksums,
+        not by whether pickle happens to raise, so corruption can never
+        surface as a wrong hit.
         """
         if not self.enabled:
             self.stats.misses += 1
             return None
-        path = self._path(key)
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return self._get_packed(key)
-        header_len = len(CACHE_MAGIC) + _DIGEST_SIZE
-        intact, payload = (
-            _decode(raw[header_len:], raw[len(CACHE_MAGIC) : header_len])
-            if raw.startswith(CACHE_MAGIC) and len(raw) >= header_len
-            else (False, None)
-        )
-        if not intact:
-            self.stats.misses += 1
-            self._quarantine(path)
-            return None
-        self.stats.hits += 1
-        return payload
-
-    def _get_packed(self, key: str) -> Optional[Any]:
-        """The payload a pack holds under *key*, or ``None``."""
         self._refresh_packs()
         entry = self._packed.get(key)
         if entry is None:
@@ -321,15 +272,20 @@ class ResultCache:
         name, offset, length, digest = entry
         path = self._pack_root / name
         try:
-            with open(path, "rb") as handle:
+            with path.open("rb") as handle:
                 handle.seek(offset)
                 body = handle.read(length)
         except OSError:
             # Removed since the scan; the next refresh forgets it.
             self.stats.misses += 1
             return None
-        intact, payload = _decode(body, digest)
-        if not intact:
+        try:
+            if hashlib.sha256(body).digest() != digest:
+                raise ValueError("entry digest mismatch")
+            payload = pickle.loads(body)
+        except Exception:
+            # A failed digest, or a body that passed it but no longer
+            # unpickles (e.g. classes renamed since it was written).
             # Unlinking the pack changes ``packs/``, so the next lookup
             # re-reads the directory and forgets it.
             self.stats.misses += 1
@@ -338,8 +294,9 @@ class ResultCache:
         self.stats.hits += 1
         return payload
 
-    def _refresh_packs(self) -> None:
-        """Re-read the pack directory if it changed since the last look.
+    def _refresh_packs(self, force: bool = False) -> None:
+        """Re-read the pack directory if it changed since the last look
+        (always, when *force* is set).
 
         Packs are immutable and named by content, so an index already
         verified is kept; only new packs are read, and each one is
@@ -350,13 +307,22 @@ class ResultCache:
             mtime: Optional[int] = self._pack_root.stat().st_mtime_ns
         except OSError:
             mtime = None
-        if mtime == self._packs_mtime:
+        if mtime == self._packs_mtime and not force:
             return
         self._packs_mtime = mtime
+        try:
+            # ``os.listdir`` plus a suffix test: ``Path.glob`` costs about
+            # ten times as much per entry, and this runs once per change.
+            names = sorted(
+                name for name in os.listdir(self._pack_root) if name.endswith(".pack")
+            )
+        except OSError:
+            names = []
         packs: Dict[str, _PackIndex] = {}
-        for path in sorted(self._pack_root.glob("*.pack")):
-            index = self._packs.get(path.name)
+        for name in names:
+            index = self._packs.get(name)
             if index is None:
+                path = self._pack_root / name
                 try:
                     index = _parse_pack(path.read_bytes())
                 except OSError:
@@ -364,7 +330,7 @@ class ResultCache:
                 if index is None:
                     self._quarantine(path)
                     continue
-            packs[path.name] = index
+            packs[name] = index
         self._packs = packs
         self._packed = {
             key: (name, *entry)
@@ -373,36 +339,33 @@ class ResultCache:
         }
 
     def _quarantine(self, path: Path) -> None:
-        """Count, report and remove one corrupt entry file or pack."""
+        """Count, report and remove one corrupt pack."""
         self.stats.corrupt += 1
         from repro.observability.telemetry import resolve_telemetry
 
         telemetry = resolve_telemetry(self.telemetry)
         if telemetry.enabled:
             telemetry.inc("cache.corrupt_entries")
-        try:
+        with contextlib.suppress(OSError):
             path.unlink()
-        except OSError:
-            pass
 
     def put(self, key: str, payload: Any) -> None:
-        """Store *payload* under *key* as one ``<key>.pkl`` file (no-op
-        when disabled)."""
-        if not self.enabled:
-            return
-        body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        atomic_publish(
-            self._path(key), (CACHE_MAGIC, hashlib.sha256(body).digest(), body)
-        )
-        self.stats.stores += 1
+        """Store *payload* under *key* as a one-entry pack (no-op when
+        disabled)."""
+        self.put_many(((key, payload),))
 
     def put_many(self, items: Iterable[Tuple[str, Any]]) -> None:
         """Store every ``(key, payload)`` of *items* as one pack.
 
-        One file and one rename for the lot, where :meth:`put` pays a
-        temp file and a rename per entry; a campaign shard publishes its
-        payloads this way the moment it completes.  No-op when disabled
-        or when *items* is empty; a repeated key keeps its last payload.
+        One file and one rename for the lot; a campaign shard publishes
+        its payloads this way the moment it completes.  No-op when
+        disabled or when *items* is empty; a repeated key keeps its last
+        payload.
+
+        The newest write of a key wins: once the pack is published,
+        every other pack that holds one of its keys under a different
+        payload is removed, so its other keys become misses and
+        recompute (fail-closed, never a wrong hit).
         """
         if not self.enabled:
             return
@@ -417,14 +380,13 @@ class ResultCache:
         offset = 0
         for key in keys:
             body = bodies[key]
-            entries.append(
-                [key, offset, len(body), hashlib.sha256(body).hexdigest()]
-            )
+            entries.append([key, offset, len(body), hashlib.sha256(body).hexdigest()])
             offset += len(body)
         index = json.dumps(entries, separators=(",", ":")).encode()
         digest = hashlib.sha256(index).digest()
+        name = f"{digest.hex()}.pack"
         atomic_publish(
-            self._pack_root / f"{digest.hex()}.pack",
+            self._pack_root / name,
             (
                 _PACK_HEADER.pack(PACK_MAGIC, digest, len(index)),
                 index,
@@ -432,22 +394,42 @@ class ResultCache:
             ),
         )
         self.stats.stores += len(bodies)
+        # Index the new pack from what was just written instead of
+        # reading it back, then rescan for the packs it supersedes.
+        base = _PACK_HEADER.size + len(index)
+        published = {
+            key: (base + start, length, bytes.fromhex(entry_hex))
+            for key, start, length, entry_hex in entries
+        }
+        self._packs = {**self._packs, name: published}
+        self._refresh_packs(force=True)
+        stale = [
+            other
+            for other, held in self._packs.items()
+            if other != name
+            and any(
+                held[key][2] != published[key][2]
+                for key in held.keys() & published.keys()
+            )
+        ]
+        for other in stale:
+            (self._pack_root / other).unlink(missing_ok=True)
+        if stale:
+            self._refresh_packs(force=True)
 
     def clear(self) -> int:
-        """Delete every cache entry, in both layouts; returns how many
-        entries were removed."""
+        """Delete every pack; returns how many keys were removed.
+
+        Leftover ``<key>.pkl`` files of an older cache layout are
+        unlinked too (never read), so ``--clear-cache`` empties it.
+        """
         removed = len(self)
-        for path in (*self.root.glob("*.pkl"), *self._pack_root.glob("*.pack")):
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - racing deletes
-                pass
+        packs = [self._pack_root / name for name in self._packs]
+        for path in (*self.root.glob("*.pkl"), *packs):
+            path.unlink(missing_ok=True)
         return removed
 
     def __len__(self) -> int:
-        """Distinct keys stored, in ``<key>.pkl`` files and in packs."""
-        if not self.root.is_dir():
-            return 0
+        """Distinct keys stored."""
         self._refresh_packs()
-        files = {path.stem for path in self.root.glob("*.pkl")}
-        return len(files | self._packed.keys())
+        return len(self._packed)

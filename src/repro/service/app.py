@@ -179,10 +179,10 @@ class ServiceApp:
         self._inflight: Dict[str, List[_Job]] = {}
         #: The dependency rule; every stored job is one of its nodes.
         self._book = DependencyBook()
-        #: Highest job sequence number ever issued; ids at or below it
-        #: that are missing from the store were evicted (410, not 404).
+        #: Highest job sequence number ever issued (only an admitted
+        #: submit issues one); ids at or below it that are missing from
+        #: the store were evicted (410, not 404).
         self._last_job_seq = 0
-        self._ids = itertools.count(1)
         self._requests = itertools.count(1)
         self._queue: Optional[asyncio.Queue] = None
         self._workers: List[asyncio.Task] = []
@@ -531,13 +531,12 @@ class ServiceApp:
             job = self.jobs.get(parts[2])
             if job is None:
                 if self._was_issued(parts[2]):
+                    ttl = self.config.job_ttl
+                    after = "" if ttl is None else f" after job_ttl={ttl:g} s"
                     await self._send_json(
                         send,
                         410,
-                        {
-                            "error": f"job {parts[2]!r} evicted after "
-                            f"job_ttl={self.config.job_ttl}s"
-                        },
+                        {"error": f"job {parts[2]!r} was evicted{after}"},
                         request_id,
                     )
                     return
@@ -636,8 +635,7 @@ class ServiceApp:
             )
             return
 
-        seq = next(self._ids)
-        self._last_job_seq = seq
+        seq = self._last_job_seq = self._last_job_seq + 1
         job_id = f"job-{seq}"
         status = JobStatus(
             job_id=job_id,
@@ -647,8 +645,11 @@ class ServiceApp:
         job = _Job(request=request, status=status, changed=asyncio.Condition())
         self.jobs[job_id] = job
         if not await self._admit(job):
+            # Refused before any await, so no other submit took a later
+            # id: hand this one back, and the next submit reuses it.
             del self.jobs[job_id]
             self._book.forget(job_id)
+            self._last_job_seq = seq - 1
             await self._send_json(
                 send,
                 503,

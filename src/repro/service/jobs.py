@@ -218,25 +218,25 @@ def _check_scenario_span(scenario) -> None:
     seconds, with the app's defaults for fields it leaves out.
 
     A rig is sized by that span whatever horizon the request names, so
-    it is checked here, before anything is built.
+    it is checked here, before anything is built.  The fields are parsed
+    as the app builder parses them, so a value it would reject is a
+    :class:`SpecError` here too.
     """
     import inspect
 
     from repro.apps import APPS
+    from repro.spec.build import _workload_kwargs
 
     app = APPS.get(scenario.app)
+    allowed = app.workload_fields if app else tuple(scenario.workload)
     params = inspect.signature(app.scenario).parameters if app else {}
-    workload = {name: param.default for name, param in params.items()}
-    workload.update(scenario.workload)
+    span = {name: params[name].default for name in allowed if name in params}
+    span.update(_workload_kwargs(scenario, allowed))
 
-    def number(name: str) -> float:
-        value = workload.get(name)
-        return float(value) if isinstance(value, (int, float)) else 0.0
-
-    _check_steps("workload horizon", number("horizon"))
+    _check_steps("workload horizon", span.get("horizon", 0.0))
     _check_steps(
         "event schedule (event_count x mean_interarrival)",
-        number("event_count") * number("mean_interarrival"),
+        span.get("event_count", 0) * span.get("mean_interarrival", 0.0),
     )
 
 

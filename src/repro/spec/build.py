@@ -336,6 +336,11 @@ def scenario_trace_hash(scenario: ScenarioSpec) -> Optional[str]:
 def _workload_kwargs(
     scenario: ScenarioSpec, allowed: Tuple[str, ...]
 ) -> Dict[str, Any]:
+    """*scenario*'s workload fields as app keyword arguments, parsed.
+
+    Raises :class:`SpecError` naming the field for a field *allowed*
+    does not list or a value that is not a number.
+    """
     app = scenario.app
     workload = {k: v for k, v in scenario.workload.items() if k != "app"}
     unknown = sorted(set(workload) - set(allowed))
@@ -346,10 +351,13 @@ def _workload_kwargs(
         )
     kwargs: Dict[str, Any] = {}
     for key, value in workload.items():
-        if key in ("seed", "event_count"):
-            kwargs[key] = int(value)
-        else:
-            kwargs[key] = float(value)
+        try:
+            kwargs[key] = (int if key in ("seed", "event_count") else float)(value)
+        except (TypeError, ValueError, OverflowError):
+            raise SpecError(
+                f"scenario {scenario.name!r}: workload field {key!r} must be "
+                f"a number, got {value!r}"
+            ) from None
     return kwargs
 
 

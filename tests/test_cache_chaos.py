@@ -1,9 +1,9 @@
 """Cache corruption soak: every mangled entry is a quarantined miss.
 
-The v3 on-disk format (magic + SHA-256 checksum + pickle body) must turn
-*any* byte-level damage — truncation, bit flips, garbage prepends, even
-a zeroed file — into a counted, removed, recomputable miss.  The two
-failure modes this guards against:
+The on-disk format (packs: magic + SHA-256 checksums over the index and
+every pickle body) must turn *any* byte-level damage — truncation, bit
+flips, garbage prepends, even a zeroed file — into a counted, removed,
+recomputable miss.  The two failure modes this guards against:
 
 * an exception escaping ``get`` (corruption crashing a suite run);
 * a *wrong hit* — pickle often deserialises flipped bytes "successfully"
@@ -11,11 +11,15 @@ failure modes this guards against:
   an experiment's results.
 """
 
+import collections
+import hashlib
+import pickle
 import random
+from pathlib import Path
 
 import pytest
 
-from repro.experiments.cache import CACHE_MAGIC, PACK_DIR, PACK_MAGIC, ResultCache
+from repro.experiments.cache import PACK_DIR, PACK_MAGIC, ResultCache
 
 
 def _payload(tag):
@@ -23,7 +27,12 @@ def _payload(tag):
 
 
 def _entry_path(cache, key):
-    (path,) = cache.root.glob(f"{key}.pkl")
+    """The one-entry pack ``put`` published for *key*."""
+    (path,) = (
+        path
+        for path in (cache.root / PACK_DIR).glob("*.pack")
+        if key.encode() in path.read_bytes()
+    )
     return path
 
 
@@ -54,12 +63,16 @@ def test_soak_random_corruption_is_always_a_quarantined_miss(
         path.write_bytes(_corrupt(raw, rng))
 
         corrupt_before = tmp_cache.stats.corrupt
-        result = tmp_cache.get(key)  # must not raise
+        # The writer indexed the pack as it published it, and still
+        # checks the body it reads: the exact payload or a miss.
+        assert tmp_cache.get(key) in (_payload(round_index), None)
+        fresh = ResultCache(root=tmp_cache.root)
+        result = fresh.get(key)  # must not raise
 
         # Never a wrong hit: either a clean payload (impossible after
         # corruption) or None — and None must be the *quarantined* kind.
         assert result is None
-        assert tmp_cache.stats.corrupt == corrupt_before + 1
+        assert tmp_cache.stats.corrupt - corrupt_before + fresh.stats.corrupt == 1
         assert not path.exists(), "corrupt entry must be removed"
 
         # The slot is immediately reusable.
@@ -75,21 +88,33 @@ def test_intact_entries_round_trip(tmp_cache):
 
 def test_entries_carry_magic_and_checksum(tmp_cache):
     tmp_cache.put("b" * 64, _payload("y"))
-    raw = _entry_path(tmp_cache, "b" * 64).read_bytes()
-    assert raw.startswith(CACHE_MAGIC)
-    assert len(raw) > len(CACHE_MAGIC) + 32
+    path = _entry_path(tmp_cache, "b" * 64)
+    raw = path.read_bytes()
+    assert raw.startswith(PACK_MAGIC)
+    assert len(raw) > len(PACK_MAGIC) + 32
+    # Content-named: the header's index digest is the file name.
+    assert raw[len(PACK_MAGIC) : len(PACK_MAGIC) + 32].hex() == path.stem
+    assert not list(tmp_cache.root.glob("*.pkl"))
 
 
-def test_pre_v3_entry_is_treated_as_corrupt(tmp_cache):
-    """A legacy (headerless pickle) entry fails the magic check and is
-    quarantined rather than deserialised."""
-    import pickle
-
-    key = "c" * 64
+def test_leftover_pkl_entry_is_never_read(tmp_cache):
+    """A ``<key>.pkl`` file of the old per-key layout, framed or not, is
+    not an entry: ``get`` misses without reading or quarantining it,
+    ``len`` does not count it, and ``clear`` removes it."""
+    body = pickle.dumps(_payload("legacy"))
     tmp_cache.root.mkdir(parents=True, exist_ok=True)
-    (tmp_cache.root / f"{key}.pkl").write_bytes(pickle.dumps(_payload("legacy")))
-    assert tmp_cache.get(key) is None
-    assert tmp_cache.stats.corrupt == 1
+    leftovers = {
+        "c" * 64: body,
+        "d" * 64: b"RPC3" + hashlib.sha256(body).digest() + body,
+    }
+    for key, raw in leftovers.items():
+        (tmp_cache.root / f"{key}.pkl").write_bytes(raw)
+    assert [tmp_cache.get(key) for key in leftovers] == [None, None]
+    assert tmp_cache.stats.corrupt == 0
+    assert len(tmp_cache) == 0
+    assert all((tmp_cache.root / f"{key}.pkl").exists() for key in leftovers)
+    assert tmp_cache.clear() == 0
+    assert not list(tmp_cache.root.glob("*.pkl"))
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +211,12 @@ def test_corruption_reports_telemetry(tmp_cache):
     from repro.observability.telemetry import Telemetry
 
     telemetry = Telemetry()
-    tmp_cache.telemetry = telemetry
     key = "d" * 64
     tmp_cache.put(key, _payload("z"))
     path = _entry_path(tmp_cache, key)
     path.write_bytes(b"\xff" + path.read_bytes()[1:])
-    assert tmp_cache.get(key) is None
+    reader = ResultCache(root=tmp_cache.root, telemetry=telemetry)
+    assert reader.get(key) is None
     snapshot = telemetry.snapshot()["metrics"]
     assert snapshot["cache.corrupt_entries"]["value"] == 1.0
 
@@ -275,31 +300,42 @@ def test_pack_layout_is_content_named_and_deterministic(tmp_cache, tmp_path):
     assert not list(tmp_cache.root.glob("*.pkl"))
 
 
-def test_one_reader_serves_both_layouts(tmp_cache):
-    packed = _pack_items("p")
-    tmp_cache.put_many(packed)
-    tmp_cache.put("f" * 64, _payload("file"))
-    # A key in both layouts: the per-key file is read first.
-    tmp_cache.put(packed[0][0], _payload("newer"))
+@pytest.mark.parametrize("over", ["put-over-put", "put-over-pack", "pack-over-pack"])
+def test_newest_write_of_a_key_wins(tmp_cache, over):
+    """Rewriting a key serves the newest payload to the writer and to a
+    fresh reader alike, whatever the pack names' order: the write
+    removes every pack that held the key under another payload, so that
+    pack's other keys miss.  Twenty rounds of fresh payloads (fresh pack
+    names) leave no room for name-order luck."""
+    six = [key for key, _ in _pack_items("n")]
+    key = six[0]
+    for round_index in range(20):
+        old, new = _payload(f"old {round_index}"), _payload(f"new {round_index}")
+        if over == "put-over-put":
+            tmp_cache.put(key, old)
+        else:
+            tmp_cache.put_many((k, old) for k in six)
+        if over == "pack-over-pack":
+            tmp_cache.put_many([(key, new), *_pack_items(f"o{round_index}", 2)])
+        else:
+            tmp_cache.put(key, new)
+        fresh = ResultCache(root=tmp_cache.root)
+        for reader in (tmp_cache, fresh):
+            assert reader.get(key) == new
+        if over != "put-over-put":
+            assert [fresh.get(k) for k in six[1:]] == [None] * 5
+        assert fresh.stats.corrupt == 0
+    if over != "pack-over-pack":
+        assert len(list((tmp_cache.root / PACK_DIR).glob("*.pack"))) == 1
 
-    reader = ResultCache(root=tmp_cache.root)
-    assert reader.get("f" * 64) == _payload("file")
-    assert reader.get(packed[0][0]) == _payload("newer")
-    assert [reader.get(key) for key, _ in packed[1:]] == [
-        payload for _, payload in packed[1:]
-    ]
-    assert reader.get("0" * 64) is None
-    assert reader.stats.as_dict() == {
-        "hits": len(packed) + 1, "misses": 1, "stores": 0, "corrupt": 0,
-    }
 
-
-def test_clear_and_len_count_both_layouts(tmp_cache):
+def test_clear_and_len_count_distinct_keys(tmp_cache):
     assert len(tmp_cache) == 0
     tmp_cache.put_many(_pack_items("a", count=3))
     tmp_cache.put_many(_pack_items("b", count=2))
     tmp_cache.put("f" * 64, _payload("file"))
-    tmp_cache.put(_pack_items("a")[0][0], _payload("both layouts"))
+    # The same payload again: an identical pack, nothing superseded.
+    tmp_cache.put(_pack_items("a")[0][0], _pack_items("a")[0][1])
     assert len(tmp_cache) == 6
     assert ResultCache(root=tmp_cache.root).clear() == 6
     assert len(tmp_cache) == 0
@@ -307,8 +343,39 @@ def test_clear_and_len_count_both_layouts(tmp_cache):
     assert not list(tmp_cache.root.rglob("*.p*k*"))
 
 
+def test_cold_miss_on_unchanged_packs_stats_once_and_opens_nothing(
+    tmp_cache, monkeypatch
+):
+    import os
+
+    import repro.experiments.cache as cache_mod
+
+    tmp_cache.put_many(_pack_items("m"))
+    reader = ResultCache(root=tmp_cache.root)
+    assert reader.get("0" * 64) is None  # the first look indexes packs/
+    calls = collections.Counter()
+
+    def counting(name, real):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return spy
+
+    for name in ("open", "read_bytes", "stat"):
+        monkeypatch.setattr(Path, name, counting(name, getattr(Path, name)))
+    monkeypatch.setattr(cache_mod.os, "listdir", counting("listdir", os.listdir))
+    for index in range(20):
+        assert reader.get(f"{index:064d}") is None
+    assert calls == {"stat": 20}
+    assert reader.stats.as_dict() == {
+        "hits": 0, "misses": 21, "stores": 0, "corrupt": 0,
+    }
+
+
 def test_pack_index_rereads_only_when_packs_change(tmp_cache, monkeypatch):
-    """Per-key writes never rescan; a new pack is the only one read."""
+    """A reader parses each pack once, only after ``packs/`` changes;
+    a writer indexes its own packs without reading them back."""
     import repro.experiments.cache as cache_mod
 
     read = []
@@ -322,13 +389,18 @@ def test_pack_index_rereads_only_when_packs_change(tmp_cache, monkeypatch):
     first, second = _pack_items("x"), _pack_items("y")
     tmp_cache.put_many(first)
     assert tmp_cache.get(first[0][0]) == first[0][1]
+    assert read == []
+
+    reader = ResultCache(root=tmp_cache.root)
+    assert reader.get(first[0][0]) == first[0][1]
+    assert reader.get("e" * 64) is None
+    assert reader.get(first[1][0]) == first[1][1]
     assert len(read) == 1
 
     tmp_cache.put("f" * 64, _payload("file"))
-    assert tmp_cache.get("e" * 64) is None
-    assert tmp_cache.get(first[1][0]) == first[1][1]
-    assert len(read) == 1
-
     tmp_cache.put_many(second)
-    assert tmp_cache.get(second[0][0]) == second[0][1]
-    assert len(read) == 2
+    assert len(read) == 1  # nor any other writer's pack
+    assert reader.get(second[0][0]) == second[0][1]
+    assert reader.get("f" * 64) == _payload("file")
+    assert reader.get(first[2][0]) == first[2][1]
+    assert len(read) == 3

@@ -202,6 +202,20 @@ class TestRunApp:
         assert code == 0
         assert "GestureFast on Fixed" in capsys.readouterr().out
 
+    def test_run_spec_with_non_numeric_workload_is_a_typed_error(
+        self, tmp_path, capsys
+    ):
+        spec = tmp_path / "ta.json"
+        assert main(["spec", "dump", "temp-alarm", "--out", str(spec)]) == 0
+        data = json.loads(spec.read_text())
+        data["workload"]["mean_interarrival"] = "abc"
+        spec.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["run", "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert "workload field 'mean_interarrival' must be a number" in err
+        assert "'abc'" in err
+
     def test_export_writes_json(self, tmp_path, capsys):
         export = tmp_path / "trace.json"
         code = main(

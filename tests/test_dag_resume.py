@@ -78,8 +78,8 @@ def _run(cache_root, **kwargs):
 
 
 def _cache_bytes(root):
-    """Cache artifact fingerprint: {file name: exact bytes} per entry."""
-    return {path.name: path.read_bytes() for path in root.glob("*.pkl")}
+    """Cache artifact fingerprint: {file name: exact bytes} per pack."""
+    return {path.name: path.read_bytes() for path in root.glob("packs/*.pack")}
 
 
 def _kill(node):
@@ -189,7 +189,11 @@ def test_resume_reruns_evicted_cache_entries(dag_registry, tmp_path):
 
     state = CheckpointStore(root / "campaign.ckpt").load()
     fleet_key = state.campaign["nodes"]["fleet"]["key"]
-    victim = root / f"{fleet_key}.pkl"
+    (victim,) = (
+        path
+        for path in root.glob("packs/*.pack")
+        if fleet_key.encode() in path.read_bytes()
+    )
     original = victim.read_bytes()
     victim.unlink()
 

@@ -17,6 +17,7 @@ from repro.core.builder import SystemKind
 from repro.errors import ConfigurationError
 from repro.experiments import metrics
 from repro.experiments.cache import (
+    PACK_DIR,
     ResultCache,
     code_fingerprint,
     result_key,
@@ -186,6 +187,12 @@ class TestResultKey:
         )
 
 
+def _only_pack(cache):
+    """The one pack a single ``put`` left in *cache*."""
+    (path,) = (cache.root / PACK_DIR).glob("*.pack")
+    return path
+
+
 class TestResultCache:
     def test_roundtrip_and_stats(self, tmp_path):
         cache = ResultCache(root=tmp_path / "cache")
@@ -232,14 +239,14 @@ class TestResultCache:
         cache = ResultCache(root=tmp_path / "cache")
         key = result_key("exp", {}, fingerprint="f1")
         cache.put(key, "payload")
-        cache._path(key).write_bytes(b"\x00not a pickle")
+        _only_pack(cache).write_bytes(b"\x00not a pickle")
         assert cache.get(key) is None
 
     def test_corrupt_entry_is_counted_and_quarantined(self, tmp_path):
         cache = ResultCache(root=tmp_path / "cache")
         key = result_key("exp", {}, fingerprint="f1")
         cache.put(key, "payload")
-        path = cache._path(key)
+        path = _only_pack(cache)
         path.write_bytes(b"\x80\x04garbage")
         assert cache.get(key) is None
         assert cache.stats.corrupt == 1
@@ -255,7 +262,7 @@ class TestResultCache:
         cache = ResultCache(root=tmp_path / "cache")
         key = result_key("exp", {}, fingerprint="f1")
         cache.put(key, ("text", {"metrics": {}}))
-        path = cache._path(key)
+        path = _only_pack(cache)
         path.write_bytes(path.read_bytes()[:5])  # simulate a torn write
         assert cache.get(key) is None
         assert cache.stats.corrupt == 1
@@ -273,7 +280,7 @@ class TestResultCache:
         cache = ResultCache(root=tmp_path / "cache", telemetry=telemetry)
         key = result_key("exp", {}, fingerprint="f1")
         cache.put(key, "payload")
-        cache._path(key).write_bytes(b"\x00junk")
+        _only_pack(cache).write_bytes(b"\x00junk")
         assert cache.get(key) is None
         assert telemetry.metrics.counter("cache.corrupt_entries").value == 1.0
 

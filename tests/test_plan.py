@@ -475,8 +475,8 @@ def _files(root, pattern):
 
 
 class TestPackPublish:
-    """Each completed vec shard publishes one pack; stragglers keep
-    their per-key file."""
+    """Each completed vec shard publishes one pack; each straggler
+    publishes a one-entry pack."""
 
     def test_keys_equal_job_result_key_on_mixed_campaign(self):
         jobs = _mixed_jobs()
@@ -510,9 +510,9 @@ class TestPackPublish:
             shard_size=2,
         )
         # 3 shards (4 static jobs, 2 replayed) -> 3 packs; 2 stragglers
-        # -> 2 per-key files.
-        assert len(_files(root / PACK_DIR, "*.pack")) == 3
-        assert len(_files(root, "*.pkl")) == 2
+        # -> 2 one-entry packs.
+        assert len(_files(root / PACK_DIR, "*.pack")) == 5
+        assert not _files(root, "*.pkl")
 
         second = execute_plan(
             plan_campaign(jobs), cache=ResultCache(root=root), jobs=1

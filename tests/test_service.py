@@ -193,6 +193,19 @@ class TestJobRequest:
         with pytest.raises(SpecError, match="event_count x mean_interarrival"):
             JobRequest.from_payload(data)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("mean_interarrival", "abc"), ("event_count", None), ("horizon", [1])],
+    )
+    def test_non_numeric_workload_value_rejected(self, field, value):
+        """A workload value the app builder cannot parse is a SpecError
+        (a 400 over HTTP) naming the field, not a worker-side crash."""
+        data = scenario_dict()
+        data["workload"][field] = value
+        with pytest.raises(SpecError, match=f"workload field '{field}'") as error:
+            JobRequest.from_payload(data)
+        assert repr(value) in str(error.value)
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(SpecError, match="unknown backend"):
             JobRequest.from_payload(
@@ -333,7 +346,8 @@ class TestServiceApp:
             assert status == 200 and json.loads(payload)["cached"] is True
 
         run_app(body, ServiceConfig(jobs=1, cache_dir=cache_dir))
-        assert len(list((tmp_path / "cache").glob("*.pkl"))) == 1
+        assert len(list((tmp_path / "cache" / "packs").glob("*.pack"))) == 1
+        assert not list((tmp_path / "cache").glob("*.pkl"))
 
     def test_invalid_spec_rejected_at_edge(self, tmp_path):
         async def body(app):
@@ -396,6 +410,42 @@ class TestServiceApp:
             assert json.loads(payload)["queue_limit"] == 1
             counter = app.telemetry.metrics.counter("service.rejected_queue")
             assert counter.value == 1
+
+        async def main():
+            app = ServiceApp(
+                ServiceConfig(
+                    jobs=1, queue_limit=1, cache_dir=tmp_path / "cache"
+                )
+            )
+            try:
+                await body(app)
+            finally:
+                app.pool.shutdown()
+
+        asyncio.run(main())
+
+    def test_refused_submit_issues_no_job_id(self, tmp_path):
+        async def body(app):
+            # No workers, as in test_full_queue_gets_503.
+            app._queue = asyncio.Queue(maxsize=1)
+            status, _, payload = await submit(app, scenario_dict(seed=1))
+            assert (status, json.loads(payload)["job_id"]) == (202, "job-1")
+            status, _, _ = await submit(app, scenario_dict(seed=2))
+            assert status == 503
+            # The refused submit was never handed an id: polling it is
+            # an unknown job, not an evicted one.
+            status, _, payload = await asgi_request(app, "GET", "/v1/jobs/job-2")
+            assert status == 404
+            assert json.loads(payload)["error"] == "unknown job 'job-2'"
+            # The next admitted submit (here coalesced onto job-1) gets it.
+            status, _, payload = await submit(app, scenario_dict(seed=1))
+            assert (status, json.loads(payload)["job_id"]) == (202, "job-2")
+            # An issued id gone from the store answers 410, naming no TTL
+            # when none is set.
+            del app.jobs["job-1"]
+            status, _, payload = await asgi_request(app, "GET", "/v1/jobs/job-1")
+            assert status == 410
+            assert json.loads(payload)["error"] == "job 'job-1' was evicted"
 
         async def main():
             app = ServiceApp(
@@ -580,7 +630,9 @@ class TestJobTTL:
                     app, "GET", f"/v1/jobs/{job_id}{suffix}"
                 )
                 assert status == 410
-                assert "evicted" in json.loads(payload)["error"]
+                assert json.loads(payload)["error"] == (
+                    f"job {job_id!r} was evicted after job_ttl=5 s"
+                )
             # Ids never issued still answer 404, not 410.
             status, _, _ = await asgi_request(app, "GET", "/v1/jobs/job-999")
             assert status == 404
