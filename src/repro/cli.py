@@ -18,7 +18,7 @@ appears::
     python -m repro.cli experiment fig08 --scale 0.2
     python -m repro.cli run-all --scale 0.5 --metrics-out m.jsonl
     python -m repro.cli run-all                     # a rerun resumes from the cache
-    python -m repro.cli campaign report .repro-cache/campaign.ckpt
+    python -m repro.cli run-all --jobs 4            # warm cache: report for 4 workers
     python -m repro.cli serve --port 8787 --jobs 4
     python -m repro.cli submit --spec scenario.json --url http://host:8787
 
@@ -597,6 +597,9 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
 
     The one front end of :func:`repro.experiments.run_all.main` (the
     ``python -m repro.experiments.run_all`` spelling delegates here).
+    Over a full cache it is all hits, starts no pool, and prints the
+    ``Campaign report`` modelled at ``--jobs`` workers: the offline
+    report.
     """
     from repro.errors import ConfigurationError
     from repro.experiments import run_all
@@ -615,52 +618,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    return 0
-
-
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    """``repro campaign report``: analyse checkpoint files.
-
-    Prints each checkpoint's campaign summary plus the same critical
-    path / utilization / suggested ``--jobs`` report ``run-all`` ends
-    with — straight from the state file, no registry needed.  A
-    missing, corrupt, or malformed checkpoint is a FAIL line and exit
-    code 1, which is what lets CI pin the on-disk format with a golden
-    file.
-    """
-    from repro.errors import SpecError
-    from repro.experiments.dag import CheckpointStore, report_from_state
-
-    jobs = args.jobs if args.jobs is not None else 1
-    failures = 0
-    for name in args.files:
-        store = CheckpointStore(Path(name))
-        try:
-            state = store.load()
-        except SpecError as error:  # CheckpointError
-            print(f"FAIL {name}: {error}")
-            failures += 1
-            continue
-        if state is None:
-            print(f"FAIL {name}: no such checkpoint file")
-            failures += 1
-            continue
-        try:
-            report = report_from_state(state, jobs=jobs)
-        except SpecError as error:
-            print(f"FAIL {name}: {error}")
-            failures += 1
-            continue
-        campaign = state.campaign
-        print(
-            f"ok   {name}  campaign {str(campaign.get('name', '?'))!r}  "
-            f"{len(state.completed)}/{len(campaign.get('nodes', {}))} "
-            f"task(s) completed"
-        )
-        print(report.format())
-    if failures:
-        print(f"{failures}/{len(args.files)} checkpoint files failed validation")
-        return 1
     return 0
 
 
@@ -979,25 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop cached results before running",
     )
     run_all_parser.set_defaults(func=_cmd_run_all)
-
-    campaign_parser = sub.add_parser(
-        "campaign",
-        help="inspect campaign checkpoints (critical path, utilization)",
-    )
-    campaign_sub = campaign_parser.add_subparsers(
-        dest="campaign_command", required=True
-    )
-    campaign_report = campaign_sub.add_parser(
-        "report",
-        parents=[
-            _jobs_parent(
-                "worker count the utilization model assumes (default: 1)"
-            )
-        ],
-        help="verify checkpoint files and print their campaign reports",
-    )
-    campaign_report.add_argument("files", nargs="+", metavar="FILE")
-    campaign_report.set_defaults(func=_cmd_campaign)
 
     serve_parser = sub.add_parser(
         "serve",

@@ -46,14 +46,6 @@ class DagError(SpecError):
     declaration can never strand a half-run campaign."""
 
 
-class CheckpointError(SpecError):
-    """A campaign checkpoint file (:mod:`repro.experiments.dag`) failed
-    validation: bad magic, a schema version from the future, or a body
-    whose SHA-256 does not match its header.  Loaders quarantine the
-    file and fall back to a fresh campaign — corruption can skip no
-    task it shouldn't."""
-
-
 class VecCapabilityError(SpecError):
     """A scenario uses features the vectorized backend (:mod:`repro.vec`)
     does not support — e.g. a time-varying harvester trace or a fault

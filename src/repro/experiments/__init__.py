@@ -10,12 +10,8 @@ same entry points.
 from repro.experiments import metrics
 from repro.experiments.dag import (
     CampaignDag,
-    CampaignState,
-    CheckpointStore,
-    CompletedTask,
     DagReport,
     build_report,
-    report_from_state,
     run_dag,
 )
 from repro.experiments.registry import (
@@ -39,11 +35,7 @@ __all__ = [
     "list_experiments",
     "run_experiment",
     "CampaignDag",
-    "CampaignState",
-    "CheckpointStore",
-    "CompletedTask",
     "DagReport",
     "build_report",
-    "report_from_state",
     "run_dag",
 ]

@@ -244,6 +244,9 @@ class ResultCache:
         default=None, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        self.root = Path(self.root)
+
     @property
     def _pack_root(self) -> Path:
         return self.root / PACK_DIR

@@ -1,4 +1,4 @@
-"""DAG campaign scheduling: dependencies, checkpoints, dispatch, reports.
+"""DAG campaign scheduling: dependencies, dispatch, reports.
 
 ``run_all`` historically dispatched a flat job list, so an interrupted
 multi-hour campaign restarted from zero and independent chains could
@@ -12,14 +12,6 @@ not overlap.  This module turns the campaign into a dependency graph:
 * :class:`DependencyBook` — the one rule for when a task may run and
   what a failed predecessor blocks, driven by campaign dispatch and by
   the job service alike.
-* :class:`CheckpointStore` — a versioned, checksummed campaign record
-  persisted next to the result cache after every task completion: each
-  task's dependency edges, result key and timing, which the post-run
-  report reads.  Which tasks a run skips is the result cache's call
-  alone.  The on-disk framing mirrors the result cache's: magic,
-  SHA-256 of the body, then a canonical JSON body.  A corrupt or
-  future-versioned file is **quarantined** (deleted, counted on
-  telemetry) and its timings are lost, nothing more.
 * :func:`run_dag` — validates the pending tasks and hands them, with
   their predecessor edges, to the one dispatch loop of
   :class:`~repro.experiments.parallel.WorkerPool` under the established
@@ -31,17 +23,18 @@ not overlap.  This module turns the campaign into a dependency graph:
   dependency chain, a greedy list-schedule's per-worker utilization,
   and the parallelism bound that suggests ``--jobs``.
 
+What a run skips, and the task timings its report reads, both come
+from the result cache: ``run_all`` stores each task's seconds and
+attempts in the task's own cache entry.
+
 Scheduling metadata never joins a cache key: a task's result depends
 only on its own inputs, and ``after`` only constrains *when* it runs.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -56,34 +49,17 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import CheckpointError, ConfigurationError, DagError
-from repro.experiments.cache import atomic_publish
+from repro.errors import ConfigurationError, DagError
 from repro.observability.telemetry import Telemetry, resolve_telemetry
 
 __all__ = [
-    "CHECKPOINT_MAGIC",
-    "CHECKPOINT_VERSION",
     "BookUpdate",
     "CampaignDag",
     "DependencyBook",
-    "CompletedTask",
-    "CampaignState",
-    "CheckpointStore",
     "DagReport",
     "build_report",
-    "report_from_state",
     "run_dag",
 ]
-
-#: On-disk checkpoint framing: MAGIC, then the SHA-256 digest of the
-#: body, then the canonical JSON body.  Mirrors the result cache's v3
-#: framing so the same corruption guarantees hold: a flipped bit fails
-#: the digest check before any byte is interpreted.
-CHECKPOINT_MAGIC = b"RDG1"
-#: Bump on any incompatible body-schema change.  Loaders reject files
-#: from the future instead of guessing.
-CHECKPOINT_VERSION = 1
-_DIGEST_SIZE = hashlib.sha256().digest_size
 
 
 # ---------------------------------------------------------------------------
@@ -312,187 +288,6 @@ class DependencyBook:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint state + on-disk store
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CompletedTask:
-    """One finished task as the checkpoint records it."""
-
-    node: str
-    key: str
-    source: str = "ran"  # "ran" | "cache"
-    seconds: float = 0.0
-    attempts: int = 1
-    seq: int = 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "node": self.node,
-            "key": self.key,
-            "source": self.source,
-            "seconds": self.seconds,
-            "attempts": self.attempts,
-            "seq": self.seq,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CompletedTask":
-        try:
-            return cls(
-                node=str(data["node"]),
-                key=str(data["key"]),
-                source=str(data.get("source", "ran")),
-                seconds=float(data.get("seconds", 0.0)),
-                attempts=int(data.get("attempts", 1)),
-                seq=int(data.get("seq", 0)),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise CheckpointError(
-                f"malformed completed-task record {data!r}: {error}"
-            )
-
-
-@dataclass
-class CampaignState:
-    """In-memory twin of one checkpoint file.
-
-    ``campaign`` names the campaign and maps each task to its dependency
-    edges and content-addressed result key (``nodes``) — what
-    :func:`report_from_state` rebuilds the graph from.  A later run
-    carries a recorded task's ``seconds`` forward only when that key
-    equals the key it computes, so stale timings (edited code, another
-    seed) never reach its report.
-    """
-
-    campaign: Dict[str, Any] = field(default_factory=dict)
-    completed: List[CompletedTask] = field(default_factory=list)
-
-    def completed_nodes(self) -> Dict[str, CompletedTask]:
-        return {task.node: task for task in self.completed}
-
-    def record(self, task: CompletedTask) -> None:
-        self.completed.append(task)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "version": CHECKPOINT_VERSION,
-            "campaign": self.campaign,
-            "completed": [task.to_dict() for task in self.completed],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CampaignState":
-        if not isinstance(data, Mapping):
-            raise CheckpointError("checkpoint body must be a JSON object")
-        version = data.get("version")
-        if not isinstance(version, int) or version < 1:
-            raise CheckpointError(
-                f"checkpoint version must be a positive int, got {version!r}"
-            )
-        if version > CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint is format v{version}; this build reads up to "
-                f"v{CHECKPOINT_VERSION} — refusing to guess at the schema"
-            )
-        campaign = data.get("campaign")
-        if not isinstance(campaign, Mapping):
-            raise CheckpointError("checkpoint 'campaign' must be an object")
-        completed = data.get("completed", [])
-        if not isinstance(completed, list):
-            raise CheckpointError("checkpoint 'completed' must be a list")
-        return cls(
-            campaign=dict(campaign),
-            completed=[CompletedTask.from_dict(entry) for entry in completed],
-        )
-
-
-def encode_state(state: CampaignState) -> bytes:
-    """Frame *state* as checkpoint bytes (magic + digest + JSON body)."""
-    body = json.dumps(state.to_dict(), sort_keys=True).encode()
-    return CHECKPOINT_MAGIC + hashlib.sha256(body).digest() + body
-
-
-def decode_state(raw: bytes) -> CampaignState:
-    """Parse checkpoint bytes; any defect is a :class:`CheckpointError`.
-
-    The digest is verified before a single body byte is interpreted, so
-    truncation and bit-flips fail closed rather than yielding a state
-    with wrong edges or timings.
-    """
-    header = len(CHECKPOINT_MAGIC) + _DIGEST_SIZE
-    if not raw.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointError(
-            f"bad checkpoint magic {raw[: len(CHECKPOINT_MAGIC)]!r} "
-            f"(expected {CHECKPOINT_MAGIC!r})"
-        )
-    if len(raw) < header:
-        raise CheckpointError("checkpoint file truncated inside the header")
-    body = raw[header:]
-    if hashlib.sha256(body).digest() != raw[len(CHECKPOINT_MAGIC) : header]:
-        raise CheckpointError("checkpoint body does not match its checksum")
-    try:
-        data = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as error:
-        # Unreachable in practice (the digest already matched) unless the
-        # writer produced garbage; still a typed error, never a crash.
-        raise CheckpointError(f"checkpoint body is not valid JSON: {error}")
-    return CampaignState.from_dict(data)
-
-
-class CheckpointStore:
-    """One checkpoint file, written atomically after every completion."""
-
-    def __init__(self, path: Path) -> None:
-        self.path = Path(path)
-
-    def save(self, state: CampaignState) -> None:
-        """Atomically persist *state* through :func:`atomic_publish`.
-
-        A crash mid-write leaves either the previous checkpoint or the
-        new one, never a torn file.
-        """
-        atomic_publish(self.path, (encode_state(state),))
-
-    def load(self) -> Optional[CampaignState]:
-        """The stored state, ``None`` if absent; corrupt files raise."""
-        try:
-            raw = self.path.read_bytes()
-        except OSError:
-            return None
-        return decode_state(raw)
-
-    def load_or_quarantine(
-        self, telemetry: Optional[Telemetry] = None
-    ) -> Optional[CampaignState]:
-        """Load, quarantining corruption as a fresh start.
-
-        A file that fails validation is deleted and counted
-        (``campaign.checkpoint_quarantined``); the caller sees ``None``
-        — exactly what a missing checkpoint looks like — so corruption
-        costs the recorded timings and nothing else.
-        """
-        try:
-            return self.load()
-        except CheckpointError:
-            resolved = resolve_telemetry(telemetry)
-            if resolved.enabled:
-                resolved.inc("campaign.checkpoint_quarantined")
-            try:
-                self.path.unlink()
-            except OSError:
-                pass
-            return None
-
-    def clear(self) -> None:
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
-
-
-# ---------------------------------------------------------------------------
 # Dependency-aware dispatch
 # ---------------------------------------------------------------------------
 
@@ -520,7 +315,7 @@ def run_dag(
     task it transitively blocks into one as well (``attempts=0``, so
     blocked and failed rows are distinguishable).  ``on_error="raise"``
     aborts at the first permanent failure, after harvesting (and
-    checkpointing, via *on_complete*) any task that already finished.
+    handing to *on_complete*) any task that already finished.
 
     Args:
         dag: the validated graph.
@@ -533,7 +328,7 @@ def run_dag(
         telemetry: sink for ``campaign.retries``/``campaign.gave_up``.
         report: optional :class:`ParallelReport` to fill with timings.
         on_complete: called as ``on_complete(node, result, timing)``
-            after each successful task — the checkpoint hook.
+            after each successful task — ``run_all`` caches it there.
         completed: node ids already satisfied (cache-served);
             they are treated as done for dependency purposes and never
             executed.
@@ -597,19 +392,6 @@ class DagReport:
     #: ``ceil(total / critical)`` — the classic parallelism bound; more
     #: workers than this cannot shorten the campaign.
     suggested_jobs: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "tasks": self.tasks,
-            "timed_tasks": self.timed_tasks,
-            "total_seconds": self.total_seconds,
-            "critical_path": list(self.critical_path),
-            "critical_seconds": self.critical_seconds,
-            "jobs": self.jobs,
-            "worker_busy": list(self.worker_busy),
-            "makespan": self.makespan,
-            "suggested_jobs": self.suggested_jobs,
-        }
 
     def format(self) -> str:
         lines = ["Campaign report"]
@@ -685,29 +467,6 @@ def build_report(
         makespan=makespan,
         suggested_jobs=suggested,
     )
-
-
-def report_from_state(state: CampaignState, jobs: int = 1) -> DagReport:
-    """Rebuild the report from a checkpoint file's recorded contents.
-
-    The checkpoint stores each task's dependency edges alongside its
-    completion record, so ``repro campaign report`` works on the file
-    alone — no registry, no re-run.
-    """
-    nodes = state.campaign.get("nodes")
-    if not isinstance(nodes, Mapping) or not nodes:
-        raise CheckpointError("checkpoint records no campaign tasks")
-    try:
-        dag = CampaignDag(
-            [
-                (str(node), tuple(entry.get("after", ())))
-                for node, entry in nodes.items()
-            ]
-        )
-    except (AttributeError, TypeError) as error:
-        raise CheckpointError(f"malformed checkpoint task table: {error}")
-    seconds = {task.node: task.seconds for task in state.completed}
-    return build_report(dag, seconds, jobs=jobs)
 
 
 def emit_report_telemetry(

@@ -17,12 +17,12 @@ rerun prints every table in seconds.
 Resuming is rerunning: every finished task's payload is in the result
 cache, so a rerun after an interruption serves those tasks from the
 cache and dispatches only the rest — bit-identical to an uninterrupted
-campaign, which the differential chaos suite pins.  After every task
-completion a versioned, checksummed record (``campaign.ckpt`` next to
-the result cache) stores each task's result key and timing; the next
-run carries a cache-served task's recorded seconds into its report when
-the recorded key matches the key it computes.  A corrupt record is
-quarantined and its timings dropped, never trusted.
+campaign, which the differential chaos suite pins.  Each cache entry
+also holds the seconds and attempts of the task that computed it, so a
+cache-served task reports its timing by construction.  A cache write
+that fails (an unwritable cache directory) costs that entry only: the
+result is still printed, one stderr line names the error, and
+``suite.cache.put_errors`` counts it.
 
 With ``--metrics-out``/``--trace-out`` each worker job runs inside a
 :func:`~repro.observability.telemetry_scope`; the parent merges the
@@ -41,9 +41,10 @@ path — results stay byte-identical because every task is a pure
 function of its arguments), and the schedule's canonical hash joins
 the cache key so faulted and clean runs never share entries.
 
-Each run ends with the campaign report (critical path, per-worker
-utilization, suggested ``--jobs``); ``repro campaign report`` prints
-the same analysis from a checkpoint file alone.
+Each run ends with the ``Campaign report`` (critical path, per-worker
+utilization, suggested ``--jobs``).  A rerun over a full cache is all
+hits and starts no pool, so ``repro run-all --jobs N`` there is the
+offline report, modelled at N workers.
 
 Run: ``python -m repro.experiments.run_all [--scale S] [--seed N]
 [--jobs J | --serial] [--no-cache] [--clear-cache]
@@ -56,6 +57,7 @@ default.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -64,9 +66,6 @@ from repro.errors import ConfigurationError
 from repro.experiments.cache import ResultCache, result_key
 from repro.experiments.dag import (
     CampaignDag,
-    CampaignState,
-    CheckpointStore,
-    CompletedTask,
     build_report,
     emit_report_telemetry,
     run_dag,
@@ -85,11 +84,9 @@ from repro.experiments.runner import format_table
 from repro.observability.telemetry import Telemetry, telemetry_scope
 from repro.observability.tracing import write_jsonl
 
-#: Checkpoint filename, persisted inside the result cache directory.
-CHECKPOINT_NAME = "campaign.ckpt"
-
-#: Payload stored per experiment: (captured stdout, telemetry snapshot
-#: or None when the run was uninstrumented).
+#: What one experiment task returns: (captured stdout, telemetry
+#: snapshot or None when the run was uninstrumented).  Its cache entry
+#: appends the task's seconds and attempts.
 JobPayload = Tuple[str, Optional[Dict[str, object]]]
 
 
@@ -132,12 +129,24 @@ def _metric_summary_rows(
 
 
 def _usable_payload(payload: object, collect: bool) -> bool:
-    """Whether a cached payload can serve this run's collect setting."""
+    """Whether a cached entry can serve this run's collect setting.
+
+    The entry is ``(stdout, snapshot, seconds, attempts)`` with finite
+    ``seconds >= 0`` and an int ``attempts >= 1``; any other shape is a
+    miss, so the experiment reruns.
+    """
+    if not (isinstance(payload, tuple) and len(payload) == 4):
+        return False
+    text, snapshot, seconds, attempts = payload
     return (
-        isinstance(payload, tuple)
-        and len(payload) == 2
-        and isinstance(payload[0], str)
-        and (not collect or payload[1] is not None)
+        isinstance(text, str)
+        and (not collect or snapshot is not None)
+        and isinstance(seconds, float)
+        and math.isfinite(seconds)
+        and seconds >= 0.0
+        and isinstance(attempts, int)
+        and not isinstance(attempts, bool)
+        and attempts >= 1
     )
 
 
@@ -161,11 +170,10 @@ def main(
         seed: root seed for schedules and noise.
         scale: fraction of the paper's event counts.
         jobs: worker processes (``1`` forces serial; ``None`` uses
-            ``REPRO_JOBS`` / the CPU count).  Zero or negative counts
-            are rejected.
+            ``REPRO_JOBS`` / the CPU count).  Anything but an int >= 1
+            is rejected.
         use_cache: replay unchanged experiments from the result cache.
-        clear_cache: drop every cached entry (and the campaign
-            checkpoint) before running.
+        clear_cache: drop every cached entry before running.
         cache_dir: cache location override (default ``.repro-cache`` or
             ``REPRO_CACHE_DIR``).
         metrics_out: write suite + per-experiment metrics as JSONL here.
@@ -183,8 +191,10 @@ def main(
         chaos: explicit :class:`~repro.faults.inject.WorkerChaos`
             override for tests (``--inject`` is the user-facing path).
     """
-    if jobs is not None and jobs < 1:
-        raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
+    if jobs is not None and (
+        isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1
+    ):
+        raise ConfigurationError(f"--jobs must be an int >= 1, got {jobs!r}")
     if not (math.isfinite(scale) and scale > 0.0):
         raise ConfigurationError(f"--scale must be finite and > 0, got {scale}")
     for flag, path in (("--metrics-out", metrics_out), ("--trace-out", trace_out)):
@@ -214,10 +224,8 @@ def main(
 
     cache = ResultCache(**({"root": cache_dir} if cache_dir is not None else {}))
     cache.enabled = use_cache
-    store = CheckpointStore(cache.root / CHECKPOINT_NAME)
     if clear_cache:
         removed = cache.clear()
-        store.clear()
         print(f"[cache] cleared {removed} entries from {cache.root}")
 
     # Dependency graph + per-task keys.  A malformed declaration (cycle,
@@ -248,67 +256,28 @@ def main(
     snapshots: Dict[str, Optional[Dict[str, object]]] = {}
     sources: Dict[str, str] = {}
 
-    # The result cache alone decides what runs.  The previous record
-    # only lends a cache-served task its timing, and only under the key
-    # this run computes (keys embed the code fingerprint, params, and
-    # fault hash — any drift drops the stale timing).
-    previous = store.load_or_quarantine(suite) if cache.enabled else None
-    recorded = previous.completed_nodes() if previous is not None else {}
-    carried_seconds: Dict[str, float] = {}
+    # The result cache alone decides what runs, and a hit carries the
+    # seconds of the run that computed it into this run's report.
+    cached_seconds: Dict[str, float] = {}
     pending: List[Experiment] = []
     for job in suite_jobs:
         payload = cache.get(keys[job.job_id])
         if not _usable_payload(payload, collect):
             pending.append(job)
             continue
-        outputs[job.job_id], snapshots[job.job_id] = payload
+        outputs[job.job_id], snapshots[job.job_id], seconds, _ = payload
         sources[job.job_id] = "cache"
-        task = recorded.get(job.job_id)
-        if task is not None and task.key == keys[job.job_id]:
-            carried_seconds[job.job_id] = task.seconds
-
-    # Fresh record for this run: cache-served tasks are recorded up
-    # front, executed tasks append as they complete.  The record rides
-    # the cache, so --no-cache runs leave no file behind.
-    state = CampaignState(
-        campaign={
-            "name": "run-all",
-            "nodes": {
-                node: {"after": list(dag.predecessors(node)), "key": keys[node]}
-                for node in dag.nodes
-            },
-        }
-    )
-    for job_id in sources:
-        state.record(
-            CompletedTask(
-                node=job_id,
-                key=keys[job_id],
-                source="cache",
-                seconds=carried_seconds.get(job_id, 0.0),
-                attempts=0,
-                seq=len(state.completed),
-            )
-        )
-    if cache.enabled:
-        store.save(state)
+        cached_seconds[job.job_id] = seconds
 
     report = ParallelReport()
     if pending:
-        def _checkpoint(node: str, result: object, timing) -> None:
-            cache.put(keys[node], result)
-            state.record(
-                CompletedTask(
-                    node=node,
-                    key=keys[node],
-                    source="ran",
-                    seconds=timing.seconds,
-                    attempts=timing.attempts,
-                    seq=len(state.completed),
-                )
-            )
-            if cache.enabled:
-                store.save(state)
+        def _store(node: str, result: JobPayload, timing) -> None:
+            try:
+                cache.put(keys[node], (*result, timing.seconds, timing.attempts))
+            except OSError as error:
+                # The result stands and is printed; only its entry is lost.
+                print(f"[cache] could not store {node}: {error}", file=sys.stderr)
+                suite.inc("suite.cache.put_errors")
 
         pool = WorkerPool(jobs=jobs)
         try:
@@ -325,7 +294,7 @@ def main(
                 on_error=on_error,
                 telemetry=suite,
                 report=report,
-                on_complete=_checkpoint,
+                on_complete=_store,
                 completed=list(sources),
             )
         finally:
@@ -389,10 +358,10 @@ def main(
         + "]"
     )
 
-    # Post-run campaign report: critical path over everything this run
-    # knows a duration for (fresh timings plus carried-forward ones).
+    # Post-run report: critical path over this run's timings plus the
+    # ones cache-served tasks carry.
     dag_report = build_report(
-        dag, {**carried_seconds, **seconds_by_id}, jobs=jobs
+        dag, {**cached_seconds, **seconds_by_id}, jobs=jobs
     )
     print()
     print(dag_report.format())

@@ -94,7 +94,7 @@ class ServiceConfig:
     queue_limit: int = 16
     quota_rate: float = 32.0
     quota_burst: float = 64.0
-    #: Result-cache directory (a ``str`` is converted to a ``Path``).
+    #: Result-cache directory, a ``str`` or a ``Path``.
     cache_dir: Optional[Path] = None
     use_cache: bool = True
     retry: Optional[RetryPolicy] = None
@@ -109,8 +109,6 @@ class ServiceConfig:
     batch_window: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.cache_dir is not None:
-            self.cache_dir = Path(self.cache_dir)
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
         if self.queue_limit < 1:

@@ -343,6 +343,16 @@ def test_clear_and_len_count_distinct_keys(tmp_cache):
     assert not list(tmp_cache.root.rglob("*.p*k*"))
 
 
+def test_str_root_works_like_a_path(tmp_path):
+    cache = ResultCache(root=str(tmp_path / "cache"))
+    assert cache.root == tmp_path / "cache"
+    cache.put("s" * 64, _payload("str"))
+    assert cache.get("s" * 64) == _payload("str")
+    assert len(cache) == 1
+    assert cache.clear() == 1
+    assert len(cache) == 0
+
+
 def test_cold_miss_on_unchanged_packs_stats_once_and_opens_nothing(
     tmp_cache, monkeypatch
 ):

@@ -398,6 +398,14 @@ class TestUnifiedVerbs:
         assert exc.value.code == 2
         assert "invalid choice: 'check'" in capsys.readouterr().err
 
+    def test_campaign_report_verb_removed(self, capsys):
+        # A warm `run-all --jobs N` prints the same report
+        # (test_dag_resume.py::test_warm_rerun_is_the_offline_report).
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "report", "x"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'campaign'" in capsys.readouterr().err
+
     def test_info_check_validates(self, tmp_path, capsys):
         good = tmp_path / "good.json"
         assert main(["spec", "dump", "csr", "--out", str(good)]) == 0

@@ -1,22 +1,14 @@
 """Unit contract of the DAG campaign layer: graph validation, the
-dependency book, the dependency-aware dispatcher, checkpoint framing, and the post-run
+dependency book, the dependency-aware dispatcher, and the post-run
 report — plus the registry face of ``after``."""
 
 import pytest
 
-from repro.errors import CheckpointError, ConfigurationError, DagError
+from repro.errors import ConfigurationError, DagError
 from repro.experiments.dag import (
-    CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
     CampaignDag,
-    CampaignState,
-    CheckpointStore,
-    CompletedTask,
     DependencyBook,
     build_report,
-    decode_state,
-    encode_state,
-    report_from_state,
     run_dag,
 )
 
@@ -254,75 +246,6 @@ def test_run_dag_rejects_bad_on_error():
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint framing
-# ---------------------------------------------------------------------------
-
-
-def _state() -> CampaignState:
-    state = CampaignState(
-        campaign={
-            "name": "unit",
-            "seed": 3,
-            "nodes": {"a": {"after": [], "key": "k" * 64}},
-        }
-    )
-    state.record(CompletedTask(node="a", key="k" * 64, seconds=1.5, seq=0))
-    return state
-
-
-def test_checkpoint_round_trips_and_is_canonical():
-    state = _state()
-    raw = encode_state(state)
-    assert raw.startswith(CHECKPOINT_MAGIC)
-    decoded = decode_state(raw)
-    assert decoded.to_dict() == state.to_dict()
-    # Canonical: encoding the decode reproduces identical bytes.
-    assert encode_state(decoded) == raw
-
-
-def test_future_checkpoint_version_is_rejected():
-    data = _state().to_dict()
-    data["version"] = CHECKPOINT_VERSION + 1
-    with pytest.raises(CheckpointError, match="refusing to guess"):
-        CampaignState.from_dict(data)
-
-
-def test_malformed_completed_record_is_a_checkpoint_error():
-    data = _state().to_dict()
-    data["completed"] = [{"node": "a"}]  # no key
-    with pytest.raises(CheckpointError, match="malformed completed-task"):
-        CampaignState.from_dict(data)
-
-
-def test_store_save_load_clear(tmp_path):
-    store = CheckpointStore(tmp_path / "c.ckpt")
-    assert store.load() is None
-    store.save(_state())
-    loaded = store.load()
-    assert loaded is not None and loaded.completed[0].node == "a"
-    assert not list(tmp_path.glob("*.tmp"))  # atomic write left no litter
-    store.clear()
-    assert store.load() is None
-
-
-def test_corrupt_checkpoint_is_quarantined_not_trusted(tmp_path):
-    from repro.observability.telemetry import Telemetry
-
-    store = CheckpointStore(tmp_path / "c.ckpt")
-    store.save(_state())
-    raw = bytearray(store.path.read_bytes())
-    raw[len(raw) // 2] ^= 0x40
-    store.path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointError):
-        store.load()
-    telemetry = Telemetry()
-    assert store.load_or_quarantine(telemetry) is None
-    assert not store.path.exists()  # deleted: next run starts fresh
-    snapshot = telemetry.metrics.snapshot()
-    assert snapshot["campaign.checkpoint_quarantined"]["value"] == 1
-
-
-# ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
 
@@ -342,25 +265,6 @@ def test_build_report_utilization_and_suggestion():
     assert report.makespan >= report.critical_seconds
     text = report.format()
     assert "critical path" in text and "suggested --jobs: 2" in text
-
-
-def test_report_from_state_needs_no_registry():
-    state = CampaignState(
-        campaign={
-            "name": "x",
-            "nodes": {
-                "a": {"after": [], "key": "k1"},
-                "b": {"after": ["a"], "key": "k2"},
-            },
-        }
-    )
-    state.record(CompletedTask(node="a", key="k1", seconds=1.0, seq=0))
-    state.record(CompletedTask(node="b", key="k2", seconds=2.0, seq=1))
-    report = report_from_state(state, jobs=1)
-    assert list(report.critical_path) == ["a", "b"]
-    assert report.critical_seconds == pytest.approx(3.0)
-    with pytest.raises(CheckpointError, match="no campaign tasks"):
-        report_from_state(CampaignState(campaign={}))
 
 
 # ---------------------------------------------------------------------------

@@ -6,31 +6,15 @@ The invariants pinned here:
 * the dependency book, under any success/failure outcome and settle
   order, readies a node only after every predecessor succeeded, and
   blocks every descendant of a failure exactly once, never ready,
-* cycle detection always fires on a cyclic declaration,
-* a checkpoint round-trips losslessly through its binary framing,
-* any single-byte corruption (or truncation) of a checkpoint is
-  detected and quarantined — a damaged file can produce a fresh start,
-  never a wrong skip.
+* cycle detection always fires on a cyclic declaration.
 """
-
-import tempfile
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CheckpointError, DagError
-from repro.experiments.dag import (
-    CampaignDag,
-    CampaignState,
-    CheckpointStore,
-    CompletedTask,
-    DependencyBook,
-    decode_state,
-    encode_state,
-    run_dag,
-)
+from repro.errors import DagError
+from repro.experiments.dag import CampaignDag, DependencyBook, run_dag
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -65,40 +49,6 @@ def cyclic_declarations(draw):
         preds = [f"c{i - 1}"] if i else [f"c{length - 1}"]
         nodes.append((f"c{i}", tuple(preds)))
     return nodes
-
-
-_task_ids = st.text(
-    alphabet="abcdefghij-_", min_size=1, max_size=12
-).filter(lambda s: s.strip())
-
-_completed_tasks = st.builds(
-    CompletedTask,
-    node=_task_ids,
-    key=st.text(alphabet="0123456789abcdef", min_size=8, max_size=64),
-    source=st.sampled_from(["ran", "cache", "resume"]),
-    seconds=st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
-    attempts=st.integers(min_value=1, max_value=9),
-    seq=st.integers(min_value=0, max_value=99),
-)
-
-_campaign_meta = st.fixed_dictionaries(
-    {
-        "name": st.just("run-all"),
-        "seed": st.integers(min_value=0, max_value=2**31),
-        "scale": st.floats(min_value=0.001, max_value=10.0, allow_nan=False),
-        "fingerprint": st.text(
-            alphabet="0123456789abcdef", min_size=64, max_size=64
-        ),
-    }
-)
-
-
-@st.composite
-def campaign_states(draw):
-    state = CampaignState(campaign=dict(draw(_campaign_meta)))
-    for task in draw(st.lists(_completed_tasks, max_size=6)):
-        state.record(task)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -212,60 +162,3 @@ class TestDependencyBookProperties:
         assert set(blocked) == _descendants(nodes, failed)
         assert set(ready) | set(blocked) == set(preds_of)
         assert all(not book.waiting_on(node) for node in preds_of)
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint framing
-# ---------------------------------------------------------------------------
-
-
-class TestCheckpointProperties:
-    @given(state=campaign_states())
-    def test_round_trip_is_lossless_and_canonical(self, state):
-        raw = encode_state(state)
-        decoded = decode_state(raw)
-        assert decoded.to_dict() == state.to_dict()
-        assert encode_state(decoded) == raw
-
-    @settings(max_examples=60)
-    @given(
-        state=campaign_states(),
-        offset=st.integers(min_value=0),
-        flip=st.integers(min_value=1, max_value=255),
-    )
-    def test_single_byte_corruption_is_always_detected(
-        self, state, offset, flip
-    ):
-        raw = bytearray(encode_state(state))
-        corrupt = bytes(
-            b ^ flip if i == offset % len(raw) else b
-            for i, b in enumerate(raw)
-        )
-        with pytest.raises(CheckpointError):
-            decode_state(corrupt)
-
-    @given(state=campaign_states(), keep=st.floats(min_value=0.0, max_value=1.0))
-    def test_truncation_is_always_detected(self, state, keep):
-        raw = encode_state(state)
-        truncated = raw[: int(len(raw) * keep) % len(raw)]
-        with pytest.raises(CheckpointError):
-            decode_state(truncated)
-
-    @settings(max_examples=25)
-    @given(
-        state=campaign_states(),
-        offset=st.integers(min_value=0),
-        flip=st.integers(min_value=1, max_value=255),
-    )
-    def test_corrupt_file_quarantines_to_fresh_start(self, state, offset, flip):
-        """The store never serves a damaged checkpoint: it deletes the
-        file and reports None, so resume degrades to a full re-run
-        instead of trusting corrupt completion records."""
-        with tempfile.TemporaryDirectory() as tmp:
-            store = CheckpointStore(Path(tmp) / "campaign.ckpt")
-            store.save(state)
-            raw = bytearray(store.path.read_bytes())
-            raw[offset % len(raw)] ^= flip
-            store.path.write_bytes(bytes(raw))
-            assert store.load_or_quarantine(None) is None
-            assert not store.path.exists()

@@ -10,20 +10,26 @@ The fixture registry forms a real diamond-plus-tail DAG::
 
 ``WorkerChaos(only_label=...)`` is the surgical strike: with
 ``on_error="raise"`` and a one-attempt retry budget the campaign aborts
-deterministically at the chosen node, after checkpointing everything
-that finished.  Bit-identity is asserted over the result-cache *files*
-(name and bytes), not stdout — the cache is the artifact replays serve.
+deterministically at the chosen node, after caching everything that
+finished.  Bit-identity is asserted over the result-cache entries, not
+stdout — the cache is the artifact replays serve.  Each entry also
+holds the wall-clock seconds of the task that computed it, so the
+comparison is per key and byte-exact on ``(stdout, snapshot)``, not
+over whole pack files.
 """
 
 import contextlib
 import io
+import math
 import os
+import pickle
 
 import pytest
 
 from repro.errors import InjectedWorkerCrash
 from repro.experiments import run_all
-from repro.experiments.dag import CampaignDag, CheckpointStore, run_dag
+from repro.experiments.cache import ResultCache, _parse_pack, result_key
+from repro.experiments.dag import CampaignDag, build_report, run_dag
 from repro.experiments.parallel import RetryPolicy, WorkerPool
 from repro.experiments.registry import Experiment, ExperimentRegistry
 from repro.faults.inject import WorkerChaos
@@ -70,16 +76,56 @@ def dag_registry(monkeypatch):
     return registry
 
 
-def _run(cache_root, **kwargs):
+def _run(cache_root, seed=0, jobs=1, **kwargs):
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        run_all.main(seed=0, scale=0.05, jobs=1, cache_dir=cache_root, **kwargs)
+        run_all.main(
+            seed=seed, scale=0.05, jobs=jobs, cache_dir=cache_root, **kwargs
+        )
     return buffer.getvalue()
 
 
-def _cache_bytes(root):
-    """Cache artifact fingerprint: {file name: exact bytes} per pack."""
-    return {path.name: path.read_bytes() for path in root.glob("packs/*.pack")}
+def _keys(registry, seed=0):
+    """Each fixture node's result key, computed as ``run_all`` does."""
+    return {
+        job.job_id: result_key(
+            job.job_id,
+            job.params(seed, 0.05),
+            spec_hash=job.spec_hash(seed, 0.05),
+        )
+        for job in registry.suite()
+    }
+
+
+def _entries(root):
+    """Every cache entry under *root*, read through a fresh
+    :class:`ResultCache`: ``{key: (stdout, snapshot, seconds, attempts)}``."""
+    keys = set()
+    for path in root.glob("packs/*.pack"):
+        keys.update(_parse_pack(path.read_bytes()))
+    cache = ResultCache(root=root)
+    return {key: cache.get(key) for key in keys}
+
+
+def _assert_timing(entry):
+    _, _, seconds, attempts = entry
+    assert isinstance(seconds, float) and math.isfinite(seconds)
+    assert seconds >= 0.0
+    assert type(attempts) is int and attempts >= 1
+
+
+def _assert_same_results(root, reference):
+    """Resume == clean: the same keys in as many packs, byte-equal
+    ``(stdout, snapshot)`` per key, and well-formed timing fields."""
+    got, want = _entries(root), _entries(reference)
+    assert set(got) == set(want)
+    assert len(list(root.glob("packs/*.pack"))) == len(
+        list(reference.glob("packs/*.pack"))
+    )
+    for key, entry in got.items():
+        assert pickle.dumps(entry[:2]) == pickle.dumps(want[key][:2])
+        _assert_timing(entry)
+        _assert_timing(want[key])
 
 
 def _kill(node):
@@ -108,22 +154,21 @@ def test_kill_at_every_task_boundary_then_resume_is_bit_identical(
     with pytest.raises(InjectedWorkerCrash):
         _run(chaos_root, chaos=_kill(kill), on_error="raise", **_FAST_RETRY)
 
-    # Everything dispatched before the kill is checkpointed and cached.
+    # Everything dispatched before the kill is cached.
     finished_before = ORDER.index(kill)
-    assert (chaos_root / "campaign.ckpt").exists()
-    assert len(_cache_bytes(chaos_root)) == finished_before
+    assert len(_entries(chaos_root)) == finished_before
 
     resumed = _run(chaos_root)
     assert resumed.count("[cache hit]") == finished_before
     assert "[FAILED]" not in resumed and "[BLOCKED]" not in resumed
 
-    assert _cache_bytes(chaos_root) == _cache_bytes(clean_root)
+    _assert_same_results(chaos_root, clean_root)
 
 
 @pytest.mark.parametrize("kill", ORDER)
 def test_rerun_after_kill_reports_every_task_timed(dag_registry, tmp_path, kill):
-    """A plain rerun carries the recorded timings of the tasks that
-    finished before the kill into its report and its own record."""
+    """A plain rerun reports the timings the cache entries of the tasks
+    that finished before the kill carry, and caches its own."""
     root = tmp_path / "chaos"
     with pytest.raises(InjectedWorkerCrash):
         _run(root, chaos=_kill(kill), on_error="raise", **_FAST_RETRY)
@@ -131,13 +176,44 @@ def test_rerun_after_kill_reports_every_task_timed(dag_registry, tmp_path, kill)
     rerun = _run(root)
     assert f"tasks: {len(ORDER)} ({len(ORDER)} timed)" in rerun
 
-    seconds = {
-        task.node: task.seconds
-        for task in CheckpointStore(root / "campaign.ckpt").load().completed
-    }
-    assert set(seconds) == set(ORDER)
+    entries = _entries(root)
+    keys = _keys(dag_registry)
+    assert set(entries) == set(keys.values())
+    seconds = {node: entries[key][2] for node, key in keys.items()}
     for node in ORDER[: ORDER.index(kill)]:
         assert seconds[node] > 0.0
+
+
+def test_full_cache_rerun_reports_every_task_timed(dag_registry, tmp_path):
+    """The timings ride the cache entries, so a full cache reports every
+    task timed with no record file beside it."""
+    root = tmp_path / "cache"
+    _run(root)
+    (root / "campaign.ckpt").unlink(missing_ok=True)
+
+    rerun = _run(root)
+    assert rerun.count("[cache hit]") == len(ORDER)
+    assert f"tasks: {len(ORDER)} ({len(ORDER)} timed)" in rerun
+
+
+def test_warm_rerun_is_the_offline_report(dag_registry, tmp_path, monkeypatch):
+    """Over a full cache ``run-all --jobs N`` starts no pool and prints
+    the report its entries' timings give at N workers."""
+    root = tmp_path / "cache"
+    _run(root)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a warm rerun must not build a WorkerPool")
+
+    monkeypatch.setattr(run_all, "WorkerPool", no_pool)
+    warm = _run(root, jobs=4)
+    assert warm.count("[cache hit]") == len(ORDER)
+    assert "utilization (jobs=4" in warm
+
+    entries = _entries(root)
+    seconds = {node: entries[key][2] for node, key in _keys(dag_registry).items()}
+    dag = CampaignDag.from_experiments(dag_registry.suite())
+    assert build_report(dag, seconds, jobs=4).format() in warm
 
 
 def test_double_resume_is_bit_identical(dag_registry, tmp_path):
@@ -159,7 +235,7 @@ def test_double_resume_is_bit_identical(dag_registry, tmp_path):
 
     second = _run(chaos_root)
     assert second.count("[cache hit]") == len(ORDER) - 1
-    assert _cache_bytes(chaos_root) == _cache_bytes(clean_root)
+    _assert_same_results(chaos_root, clean_root)
 
 
 def test_captured_failure_blocks_descendants_then_resume_completes(
@@ -178,47 +254,46 @@ def test_captured_failure_blocks_descendants_then_resume_completes(
     resumed = _run(chaos_root)
     assert resumed.count("[cache hit]") == 1  # only sweep finished
     assert "[FAILED]" not in resumed and "[BLOCKED]" not in resumed
-    assert _cache_bytes(chaos_root) == _cache_bytes(clean_root)
+    _assert_same_results(chaos_root, clean_root)
 
 
 def test_resume_reruns_evicted_cache_entries(dag_registry, tmp_path):
-    """A recorded completion whose cached payload vanished is re-run,
-    never wrongly skipped — and regenerates identical bytes."""
+    """A finished task whose cached payload vanished is re-run, never
+    wrongly skipped — and regenerates identical results."""
     root = tmp_path / "cache"
     _run(root)
 
-    state = CheckpointStore(root / "campaign.ckpt").load()
-    fleet_key = state.campaign["nodes"]["fleet"]["key"]
+    fleet_key = _keys(dag_registry)["fleet"]
     (victim,) = (
         path
         for path in root.glob("packs/*.pack")
-        if fleet_key.encode() in path.read_bytes()
+        if fleet_key in _parse_pack(path.read_bytes())
     )
-    original = victim.read_bytes()
+    original = _entries(root)[fleet_key]
     victim.unlink()
 
     resumed = _run(root)
     assert resumed.count("[cache hit]") == len(ORDER) - 1
-    assert victim.read_bytes() == original
+    regenerated = _entries(root)[fleet_key]
+    assert pickle.dumps(regenerated[:2]) == pickle.dumps(original[:2])
+    _assert_timing(regenerated)
 
 
 def test_resume_ignores_checkpoint_from_different_inputs(dag_registry, tmp_path):
     """Changing seed changes every result key, so nothing is served
-    from the cache and no seed-0 timing is carried into the record."""
+    from the cache and no seed-0 entry or timing is reused."""
     root = tmp_path / "cache"
     _run(root)
-    store = CheckpointStore(root / "campaign.ckpt")
-    seed0 = {task.key: task.seconds for task in store.load().completed}
+    seed0 = set(_entries(root))
 
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        run_all.main(seed=1, scale=0.05, jobs=1, cache_dir=root)
-    assert buffer.getvalue().count("[cache hit]") == 0
+    seed1_out = _run(root, seed=1)
+    assert seed1_out.count("[cache hit]") == 0
+    assert f"tasks: {len(ORDER)} ({len(ORDER)} timed)" in seed1_out
 
-    seed1 = store.load().completed
+    seed1 = set(_keys(dag_registry, seed=1).values())
     assert len(seed1) == len(ORDER)
-    assert all(task.source == "ran" for task in seed1)
-    assert not {task.key for task in seed1} & set(seed0)
+    assert not seed1 & seed0
+    assert set(_entries(root)) == seed0 | seed1
 
 
 # ---------------------------------------------------------------------------

@@ -66,10 +66,10 @@ def synthetic_registry(monkeypatch):
     return alpha_params
 
 
-def _run(cache_root, **kwargs):
+def _run(cache_root, jobs=1, **kwargs):
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        run_all.main(seed=0, scale=0.05, jobs=1, cache_dir=cache_root, **kwargs)
+        run_all.main(seed=0, scale=0.05, jobs=jobs, cache_dir=cache_root, **kwargs)
     return buffer.getvalue()
 
 
@@ -161,6 +161,49 @@ def test_run_all_reports_failing_experiment_without_aborting(
     again = _run(tmp_cache.root, retry=RetryPolicy(max_attempts=2, base_delay=0.0))
     assert "## Beta [cache hit]" in again
     assert "## Alpha [FAILED]" in again
+
+
+def test_run_all_accepts_a_str_cache_dir(synthetic_registry, tmp_path):
+    root = str(tmp_path / "cache")
+    assert _run(root).count("[cache hit]") == 0
+    assert _run(root).count("[cache hit]") == 2
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 2.5, True, "2"])
+def test_run_all_rejects_jobs_that_are_not_a_positive_int(
+    synthetic_registry, tmp_cache, jobs
+):
+    from repro.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match="--jobs must be an int >= 1"):
+        _run(tmp_cache.root, jobs=jobs)
+
+
+def test_failed_cache_writes_keep_every_result(
+    synthetic_registry, tmp_path, capsys
+):
+    """An unwritable cache directory costs the entries, not the run:
+    every section prints, each lost entry gets one stderr line, and
+    ``suite.cache.put_errors`` counts them."""
+    import json
+
+    blocker = tmp_path / "file"
+    blocker.write_text("a regular file, so nothing can be created under it")
+    metrics = tmp_path / "metrics.jsonl"
+    run_all.main(
+        seed=0, scale=0.05, jobs=1, cache_dir=blocker / "cache", metrics_out=metrics
+    )
+    captured = capsys.readouterr()
+    assert "## Alpha\nalpha: seed=0" in captured.out
+    assert "## Beta\nbeta: seed=0" in captured.out
+    assert "tasks: 2 (2 timed)" in captured.out
+    assert captured.err.count("[cache] could not store") == 2
+    (record,) = (
+        record
+        for record in map(json.loads, metrics.read_text().splitlines())
+        if record["name"] == "suite.cache.put_errors"
+    )
+    assert record["value"] == 2
 
 
 @pytest.fixture
