@@ -10,7 +10,7 @@ intermittent executor drains from the reservoir.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.core.powersystem import CapybaraPowerSystem
@@ -79,6 +79,10 @@ class Board:
                 f"MCU {mcu.name!r} needs {mcu.min_voltage} V but the rail "
                 f"is {rail} V"
             )
+        # Load points are frozen and a task graph asks for the same few
+        # over and over, so each distinct one is built once.
+        self._compute_loads: Dict[float, LoadPoint] = {}
+        self._sense_loads: Dict[Tuple[str, int], LoadPoint] = {}
 
     # ------------------------------------------------------------------
     # Load-point calculators
@@ -95,7 +99,11 @@ class Board:
 
     def compute_load(self, ops: float) -> LoadPoint:
         """ALU work of *ops* operations."""
-        return LoadPoint(self.mcu.compute_time(ops), self.mcu.active_power)
+        load = self._compute_loads.get(ops)
+        if load is None:
+            load = LoadPoint(self.mcu.compute_time(ops), self.mcu.active_power)
+            self._compute_loads[ops] = load
+        return load
 
     def sense_load(self, sensor_name: str, samples: int = 1) -> LoadPoint:
         """Acquire *samples* from a sensor (warm-up amortised per call).
@@ -103,9 +111,14 @@ class Board:
         Power is the sensor draw plus the MCU's sense-mode draw — the
         MCU waits on the peripheral rather than computing.
         """
-        sensor = self.sensor(sensor_name)
-        duration = sensor.acquisition_time(samples)
-        return LoadPoint(duration, sensor.active_power + self.mcu.sense_power)
+        key = (sensor_name, samples)
+        load = self._sense_loads.get(key)
+        if load is None:
+            sensor = self.sensor(sensor_name)
+            duration = sensor.acquisition_time(samples)
+            load = LoadPoint(duration, sensor.active_power + self.mcu.sense_power)
+            self._sense_loads[key] = load
+        return load
 
     def transmit_load(self, size_bytes: int) -> LoadPoint:
         """Transmit a packet of *size_bytes* (startup + airtime).

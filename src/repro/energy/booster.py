@@ -244,12 +244,11 @@ class OutputBooster:
         This is the discharge floor of the paper's Section 5.1 — higher
         for high-ESR supercapacitors under heavy loads, which is what
         strands energy in Figure 4.
-
-        The discharge integrators ask for the same (ESR, load) floor at
-        every segment of every task execution, so the solution is
-        memoised on the operating point.
         """
-        return _min_bank_voltage(self, esr, load_power)
+        p_in = self.input_power_for_load(load_power)
+        droop_floor = 2.0 * math.sqrt(esr * p_in)
+        regulation_floor = self.v_in_min + esr * p_in / self.v_in_min
+        return max(droop_floor, regulation_floor)
 
     def can_power(self, bank: CapacitorBank, load_power: float) -> bool:
         """Whether *bank* at its current voltage can deliver *load_power*."""
@@ -345,24 +344,13 @@ class OutputBooster:
 
 
 # ---------------------------------------------------------------------------
-# Memoised segment solutions
+# Memoised brownout times
 # ---------------------------------------------------------------------------
 #
-# Both helpers are pure functions of hashable, immutable inputs
-# (``OutputBooster`` and ``BankSpec`` are frozen dataclasses, the rest
-# are floats), so memoisation cannot change any result — it only skips
-# re-integration for operating points the experiment sweeps revisit
-# thousands of times.
-
-
-@lru_cache(maxsize=16384)
-def _min_bank_voltage(
-    booster: OutputBooster, esr: float, load_power: float
-) -> float:
-    p_in = booster.input_power_for_load(load_power)
-    droop_floor = 2.0 * math.sqrt(esr * p_in)
-    regulation_floor = booster.v_in_min + esr * p_in / booster.v_in_min
-    return max(droop_floor, regulation_floor)
+# A pure function of hashable, immutable inputs (``OutputBooster`` and
+# ``BankSpec`` are frozen dataclasses, the rest are floats), so
+# memoisation cannot change any result — it only skips re-integration
+# for operating points the experiment sweeps revisit thousands of times.
 
 
 @lru_cache(maxsize=4096)

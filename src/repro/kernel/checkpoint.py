@@ -364,9 +364,9 @@ class CheckpointingExecutor:
 
     def _run_load(self, load: LoadPoint, horizon: float) -> bool:
         duration = min(load.duration, max(0.0, horizon - self.now))
-        result = self.power_system.discharge(self.now, load.power, duration)
-        self.now += result.elapsed
-        return result.elapsed >= duration - _TIME_EPSILON
+        elapsed = self.power_system.drain(self.now, load.power, duration)[0]
+        self.now += elapsed
+        return elapsed >= duration - _TIME_EPSILON
 
     def _charge_full(self, horizon: float) -> bool:
         self.trace.record_state(self.now, "charging")

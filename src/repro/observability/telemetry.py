@@ -37,6 +37,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
 from repro.observability.metrics import (
     DEFAULT_TIME_BUCKETS,
+    Counter,
     MetricsRegistry,
     Number,
     iter_metric_records,
@@ -68,6 +69,10 @@ class Telemetry:
     ) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
+        # Counters this handle has resolved, by name: the simulation hot
+        # paths increment the same few counters hundreds of thousands of
+        # times per run, and a registry lookup re-checks the kind on each.
+        self._counters: Dict[str, Counter] = {}
 
     # ------------------------------------------------------------------
     # Metric shortcuts
@@ -75,7 +80,11 @@ class Telemetry:
 
     def inc(self, name: str, amount: Number = 1) -> None:
         """Increment counter *name* by *amount*."""
-        self.metrics.counter(name).inc(amount)
+        try:
+            counter = self._counters[name]
+        except KeyError:
+            counter = self._counters[name] = self.metrics.counter(name)
+        counter.inc(amount)
 
     def set_gauge(self, name: str, value: Number) -> None:
         """Set gauge *name* to *value*."""
