@@ -523,6 +523,39 @@ class TestPackPublish:
         ]
 
     @pytest.mark.parametrize(
+        "make_jobs",
+        [
+            pytest.param(lambda: _vec_jobs(4), id="vec-shard"),
+            pytest.param(
+                lambda: [
+                    CampaignJob(
+                        label="solo", scenario_json=_scenario_json(), horizon=20.0
+                    )
+                ],
+                id="scalar-straggler",
+            ),
+        ],
+    )
+    def test_unwritable_cache_keeps_results_and_counts_errors(
+        self, tmp_path, make_jobs
+    ):
+        """A cache write that fails with OSError (here the cache root
+        sits under a regular file) loses the entry, not the result."""
+        jobs = make_jobs()
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        telemetry = Telemetry()
+        executed = execute_plan(
+            plan_campaign(jobs),
+            cache=ResultCache(root=blocker / "c"),
+            jobs=1,
+            telemetry=telemetry,
+        )
+        assert executed.results == execute_plan(plan_campaign(jobs), jobs=1).results
+        assert all(isinstance(result, dict) for result in executed.results)
+        assert telemetry.metrics.counter("plan.cache_put_errors").value == 1
+
+    @pytest.mark.parametrize(
         "workers, make_jobs",
         [
             pytest.param(workers, make_jobs, id=f"{variant}{workers}")
