@@ -117,3 +117,77 @@ class TestFixedBuilder:
         assert assembly.power_system.reservoir.bank(
             "fixed"
         ).capacitance == pytest.approx(spec.fixed_bank.capacitance)
+
+
+class TestSystemBuilder:
+    """The v1 facade's fluent front door builds the same system as the
+    declarative spec, and that system runs through the drain path."""
+
+    def _parts(self):
+        small = BankSpec.single("small", CERAMIC_X5R, 4)
+        burst = BankSpec.single("burst", TANTALUM_POLYMER, 3)
+        return small, burst, RegulatedSupply(voltage=3.0, max_power=2e-3)
+
+    def _cycle(self, assembly):
+        """Charge, switch to the burst mode, recharge, drain a heavy
+        load to brownout; returns the drain's start time and outcome."""
+        ps = assembly.power_system
+        reservoir = ps.reservoir
+        now = ps.charge(0.0, 600.0).elapsed
+        toggle = reservoir.configure(assembly.modes.get("burst").to_config(), now)
+        reservoir.extract(toggle, now)
+        now += ps.charge(now, 600.0).elapsed
+        assert ps.is_charged(now)
+        return now, ps.drain(now, 15e-3, 60.0)
+
+    def test_builds_cb_p_and_runs_a_charge_drain_cycle(self):
+        from repro import SystemBuilder, Telemetry
+
+        small, burst, harvester = self._parts()
+        telemetry = Telemetry()
+        assembly = (
+            SystemBuilder(SystemKind.CAPY_P)
+            .bank(small)
+            .bank(burst)
+            .mode("sense", "small")
+            .mode("burst", "small", "burst")
+            .harvester(harvester)
+            .telemetry(telemetry)
+            .build()
+        )
+        assert assembly.kind is SystemKind.CAPY_P
+        assert assembly.runtime.variant is RuntimeVariant.CAPY_P
+        assert assembly.power_system.reservoir.hardwired_names == ["small"]
+
+        start, outcome = self._cycle(assembly)
+        elapsed, browned_out, delivered, end_voltage = outcome
+        assert 0.0 < elapsed < 60.0 and browned_out
+        assert delivered == pytest.approx(15e-3 * elapsed)
+        reservoir = assembly.power_system.reservoir
+        assert reservoir.active_names(start + elapsed) == ["small", "burst"]
+        assert end_voltage == reservoir.active_voltage(start + elapsed)
+        assert end_voltage <= assembly.power_system.discharge_floor(
+            start + elapsed, 15e-3
+        ) + 1e-9
+        counter = telemetry.metrics.counter
+        assert counter("power.discharge_calls").value == 1
+        assert counter("power.brownouts").value == 1
+        assert counter("reservoir.reconfigurations").value == 1
+
+        # The spec route builds the same system, bit for bit.
+        spec = PlatformSpec(
+            banks=[small, burst],
+            modes={"sense": ["small"], "burst": ["small", "burst"]},
+            fixed_bank=small,
+            harvester=harvester,
+        )
+        assert self._cycle(build_capybara_system(spec, SystemKind.CAPY_P)) == (
+            start,
+            outcome,
+        )
+
+    def test_continuous_kind_rejected(self):
+        from repro import SystemBuilder
+
+        with pytest.raises(ConfigurationError):
+            SystemBuilder(SystemKind.CONTINUOUS)
