@@ -92,3 +92,25 @@ def test_executor_cycle_throughput(benchmark):
 
     trace = benchmark(run_sixty_seconds)
     assert trace.counters.get("task_done:sense", 0) > 100
+
+
+def test_scalar_job_throughput(benchmark):
+    """One whole scalar job: GRC on CB-P for 120 simulated seconds with
+    telemetry collected, through the CLI/service entry point — the
+    engine time of one e2ebench scalar-apps job, at a smaller horizon.
+    (The first ~65 s are the cold-start charge: a 60 s horizon would
+    time one charge and a single discharge call.)"""
+    from repro.apps.grc import scenario
+    from repro.service.runner import run_scenario_job
+    from repro.spec import canonical_json
+
+    scenario_json = canonical_json(scenario(seed=0, event_count=3))
+
+    def run_job():
+        return run_scenario_job(
+            scenario_json, system="CB-P", horizon=120.0, collect=True
+        )
+
+    payload = benchmark(run_job)
+    counters = payload["telemetry"]["metrics"]
+    assert counters["power.discharge_calls"]["value"] > 1000
