@@ -198,3 +198,26 @@ class TestChargeAccounting:
         voltages = [v.voltage for v in executor.trace.voltages]
         assert max(voltages) > 2.0  # reached near the charge target
         assert min(voltages) < max(voltages)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("system", ["Pwr", "Fixed", "CB-P"])
+    def test_finished_run_is_freed_without_the_cycle_collector(self, system):
+        """A scalar run builds no reference cycles, so its whole object
+        graph (trace records, banks, telemetry) is freed the moment the
+        job returns, not at the next cyclic collection: a campaign's
+        peak memory stays one job's worth."""
+        import gc
+
+        from repro.apps.grc import scenario
+        from repro.service.runner import run_scenario_job
+        from repro.spec import canonical_json
+
+        scenario_json = canonical_json(scenario(seed=1, event_count=2))
+        gc.collect()
+        gc.disable()
+        try:
+            run_scenario_job(scenario_json, system=system, horizon=100.0, collect=True)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
