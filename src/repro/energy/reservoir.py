@@ -209,11 +209,15 @@ class ReconfigurableReservoir:
             time, boundary, versions, names, banks, capacitance, esr
         )
         self._active_cache = entry
-        if injector is not None and len(banks) > 1:
-            # A bank rejoining the set at a fault edge (stuck window
-            # ending) carries its held voltage; physical reconnection
-            # redistributes charge instantly, so equalize here to keep
-            # the shared-voltage invariant every consumer asserts.
+        if len(banks) > 1 and (
+            injector is not None
+            or (cache is not None and not set(names) <= set(cache.names))
+        ):
+            # A bank rejoining the set without a reconfiguration (an NC
+            # latch reverting closed, a stuck window ending) carries its
+            # held voltage; physical reconnection redistributes charge
+            # instantly, so equalize here to keep the shared-voltage
+            # invariant every consumer asserts.
             voltage = banks[0].voltage
             if any(abs(bank.voltage - voltage) > 1e-9 for bank in banks[1:]):
                 self.equalize_active(time)
@@ -302,6 +306,9 @@ class ReconfigurableReservoir:
                 changed = True
         if changed:
             self._reconfigurations += 1
+            # Drop the cached set so its rebuild sees no rejoin: the
+            # equalization below is the one that books the loss.
+            self._active_cache = None
         redistribution_loss = self.equalize_active(time)
         telemetry = self.telemetry
         if telemetry.enabled and changed:

@@ -38,14 +38,6 @@ class TraceFormatError(SpecError):
     the reader never yields garbage samples."""
 
 
-class DagError(SpecError):
-    """A campaign dependency graph (:mod:`repro.experiments.dag`) is
-    malformed: an experiment names an unknown predecessor, the declared
-    edges form a cycle, or a node id is duplicated.  Raised when the
-    graph is *built* — before any task is dispatched — so a bad
-    declaration can never strand a half-run campaign."""
-
-
 class VecCapabilityError(SpecError):
     """A scenario uses features the vectorized backend (:mod:`repro.vec`)
     does not support — e.g. a time-varying harvester trace or a fault

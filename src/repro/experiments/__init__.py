@@ -8,12 +8,7 @@ same entry points.
 """
 
 from repro.experiments import metrics
-from repro.experiments.dag import (
-    CampaignDag,
-    DagReport,
-    build_report,
-    run_dag,
-)
+from repro.experiments.dag import DagReport, build_report
 from repro.experiments.registry import (
     REGISTRY,
     Experiment,
@@ -34,8 +29,6 @@ __all__ = [
     "get_experiment",
     "list_experiments",
     "run_experiment",
-    "CampaignDag",
     "DagReport",
     "build_report",
-    "run_dag",
 ]

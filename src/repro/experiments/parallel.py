@@ -36,7 +36,6 @@ generators, heaps of callbacks) ever crosses the process boundary.
 
 from __future__ import annotations
 
-import heapq as _heapq
 import os
 import pickle
 import queue as _queue
@@ -51,7 +50,6 @@ from repro.apps.base import AppInstance
 from repro.core.builder import SystemKind
 from repro.errors import ConfigurationError
 from repro.experiments.campaign import DEFAULT_KINDS, Campaign
-from repro.experiments.dag import DependencyBook
 from repro.faults.inject import WorkerChaos, _unit_draw
 from repro.observability.telemetry import Telemetry, resolve_telemetry
 from repro.sim.trace import Trace
@@ -64,14 +62,25 @@ JOBS_ENV = "REPRO_JOBS"
 
 
 def default_jobs() -> int:
-    """Worker count: ``REPRO_JOBS`` if set, else the CPU count."""
+    """Worker count: ``REPRO_JOBS`` if set (and non-empty), else the CPU
+    count.
+
+    Raises:
+        ConfigurationError: ``REPRO_JOBS`` is not an int >= 1, the rule
+            ``--jobs`` applies too.
+    """
     override = os.environ.get(JOBS_ENV)
-    if override:
-        try:
-            return max(1, int(override))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not override:
+        return os.cpu_count() or 1
+    try:
+        jobs = int(override)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ConfigurationError(
+            f"{JOBS_ENV} must be an int >= 1, got {override!r}"
+        )
+    return jobs
 
 
 def _picklable(*objects: Any) -> bool:
@@ -249,14 +258,15 @@ def parallel_map(
 class WorkerPool:
     """A process pool that survives across jobs instead of per call.
 
-    Every way of running tasks — :func:`parallel_map`, :meth:`map_tasks`,
-    :meth:`run_task` and :func:`repro.experiments.dag.run_dag` — goes
-    through this class's one dispatch loop, so attempts, chaos, backoff,
-    ``on_error`` and the retry/give-up counters behave the same on every
-    path.  Tasks run in-process iff ``jobs == 1`` or the function, its
-    arguments or the chaos policy cannot be pickled; otherwise they run
-    on one executor kept alive across calls (pool spin-up would dominate
-    a long-lived service's small jobs).
+    Every way of running tasks — :func:`parallel_map`, :meth:`map_tasks`
+    (``run_all``'s suite and the planner's shards) and :meth:`run_task`
+    (the job service) — goes through this class's one dispatch loop, so
+    attempts, chaos, backoff, ``on_error`` and the retry/give-up
+    counters behave the same on every path.  Tasks run in-process iff
+    ``jobs == 1`` or the function, its arguments or the chaos policy
+    cannot be pickled; otherwise they run on one executor kept alive
+    across calls (pool spin-up would dominate a long-lived service's
+    small jobs).
 
     Teardown is **idempotent**: a pool shared between a request handler
     and a process-exit hook may see ``shutdown`` twice (or
@@ -271,8 +281,8 @@ class WorkerPool:
         self._lock = _threading.Lock()
         #: Tasks dispatched over the pool's lifetime: one per task that
         #: started an attempt, however many attempts it took (cache hits
-        #: and blocked DAG tasks never reach the pool — the service
-        #: tests assert exactly that).
+        #: and service jobs blocked by a failed predecessor never reach
+        #: the pool — the service tests assert exactly that).
         self.tasks_run = 0
 
     # -- lifecycle ------------------------------------------------------
@@ -391,21 +401,16 @@ class WorkerPool:
         on_error: str,
         telemetry: Optional[Telemetry],
         report: Optional[ParallelReport],
-        after: Optional[Sequence[Sequence[int]]] = None,
         on_complete: Optional[Callable[[str, Any, TaskTiming], None]] = None,
     ) -> List[Any]:
         """The dispatch loop every public face shares.
 
-        Runs ``fn(*tasks[i])`` for each position *i*, never before the
-        positions in ``after[i]`` succeeded; a task whose predecessor
-        failed is not run, and its slot holds a :class:`TaskError` with
-        ``attempts=0``.  A :class:`~repro.experiments.dag.DependencyBook`
-        keeps that rule; ``after`` must list predecessors at earlier
-        positions.  In-process, tasks run one at a time in position
-        order, each to its last attempt; on the executor, every ready
-        task is in flight at once and completions are handled as they
-        land, successes first, so a ``"raise"`` abort still reports
-        (via *on_complete*) every task that finished.
+        Runs ``fn(*tasks[i])`` for each position *i*.  In-process, tasks
+        run one at a time in position order, each to its last attempt;
+        on the executor, every task is in flight at once and completions
+        are handled as they land, successes first, so a ``"raise"``
+        abort still reports (via *on_complete*) every task that
+        finished.
         """
         if on_error not in ("raise", "capture"):
             raise ConfigurationError(
@@ -423,11 +428,8 @@ class WorkerPool:
             report.mode = "serial" if inline else "process-pool"
             report.jobs = 1 if inline else self.jobs
 
-        book = DependencyBook()
-        ready: List[int] = []
-        for position in range(count):
-            ready += book.add(position, after[position] if after else ()).ready
         results: List[Any] = [None] * count
+        next_position = 0
         #: future -> (position, attempt, executor it was submitted to)
         in_flight: Dict[Future, Tuple[int, int, Any]] = {}
         landed: "_queue.SimpleQueue[Future]" = _queue.SimpleQueue()
@@ -451,11 +453,12 @@ class WorkerPool:
             in_flight[future] = (position, attempt, executor)
             future.add_done_callback(landed.put)
 
-        while ready or in_flight:
+        while next_position < count or in_flight:
             # In-process, one task at a time in position order;
-            # otherwise everything that is ready.
-            while ready and not (inline and in_flight):
-                submit(_heapq.heappop(ready), 1)
+            # otherwise every task at once.
+            while next_position < count and not (inline and in_flight):
+                submit(next_position, 1)
+                next_position += 1
             batch = [landed.get()]
             while not landed.empty():
                 batch.append(landed.get())
@@ -474,8 +477,6 @@ class WorkerPool:
                         report.timings.append(timing)
                     if on_complete is not None:
                         on_complete(label, result, timing)
-                    for successor in book.succeed(position).ready:
-                        _heapq.heappush(ready, successor)
                     continue
                 if isinstance(error, BrokenProcessPool) and executor:
                     self._discard(executor)
@@ -495,16 +496,6 @@ class WorkerPool:
                 results[position] = TaskError(
                     label=label, error=repr(error), attempts=attempt
                 )
-                # Blocked rows name the failed root, not the direct
-                # predecessor the book reports as `via`.
-                for descendant, _via in book.fail(position).blocked:
-                    results[descendant] = TaskError(
-                        label=labels[descendant],
-                        error=f"blocked: predecessor {label!r} failed",
-                        attempts=0,
-                    )
-                    if telemetry.enabled:
-                        telemetry.inc("campaign.blocked")
         return results
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.observability.telemetry import Telemetry, telemetry_scope
@@ -57,11 +57,6 @@ class Experiment:
     #: editing one experiment's scenario parameters invalidates only
     #: that experiment's cached results.
     scenarios: Optional[ScenarioFactory] = None
-    #: Declared predecessors: job ids that must complete before this
-    #: experiment may dispatch (``@experiment(..., after=("power-sweep",))``).
-    #: Scheduling metadata only — it never joins the cache key, because
-    #: every experiment stays a pure function of its own inputs.
-    after: Tuple[str, ...] = ()
 
     def params(self, seed: int, scale: float) -> Dict[str, object]:
         """The cache-key parameters this experiment actually depends on."""
@@ -109,7 +104,6 @@ class ExperimentRegistry:
         uses_scale: bool = False,
         in_suite: bool = True,
         scenarios: Optional[ScenarioFactory] = None,
-        after: Tuple[str, ...] = (),
     ) -> Callable[[ExperimentRunner], ExperimentRunner]:
         """Decorator: register the function as experiment *job_id*."""
 
@@ -123,7 +117,6 @@ class ExperimentRegistry:
                     uses_scale=uses_scale,
                     in_suite=in_suite,
                     scenarios=scenarios,
-                    after=tuple(after),
                 )
             )
             return runner

@@ -4,15 +4,14 @@ Regenerates every figure of the paper's Section 6 plus the Section 5
 ablations.  The suite is whatever the experiment registry
 (:mod:`repro.experiments.registry`) says it is — experiments
 self-register in :mod:`repro.experiments.suite`; this module only
-schedules them.  Scheduling is dependency-aware: experiments may
-declare predecessors (``@experiment(..., after=("power-sweep",))``),
-the declarations build a validated :class:`~repro.experiments.dag.CampaignDag`,
-and a dispatcher feeds ready tasks onto the worker pool the moment
-their predecessors finish — independent chains overlap, dependent
-tasks never start early.  Completed experiments are replayed from the
-on-disk result cache (:mod:`repro.experiments.cache`) when neither
-their parameters nor the simulator source has changed — a warm-cache
-rerun prints every table in seconds.
+runs them.  The experiments are independent seeded runs, so the suite
+is one flat map over the pending ones, in registry order, on the
+worker pool's one dispatch loop
+(:meth:`~repro.experiments.parallel.WorkerPool.map_tasks`).  Completed
+experiments are replayed from the on-disk result cache
+(:mod:`repro.experiments.cache`) when neither their parameters nor the
+simulator source has changed — a warm-cache rerun prints every table
+in seconds.
 
 Resuming is rerunning: every finished task's payload is in the result
 cache, so a rerun after an interruption serves those tasks from the
@@ -33,18 +32,19 @@ canonical JSONL plus a summary table.
 The suite degrades gracefully rather than aborting: every experiment
 runs under a :class:`~repro.experiments.parallel.RetryPolicy`
 (exponential backoff, deterministic jitter); one that fails every
-attempt becomes a structured error row, and everything downstream of
-it a ``[BLOCKED]`` row, while independent chains complete.  ``--inject
-faults.json`` arms a :mod:`repro.faults` schedule: ``worker_crash``
-faults kill worker attempts deterministically (exercising the retry
-path — results stay byte-identical because every task is a pure
-function of its arguments), and the schedule's canonical hash joins
-the cache key so faulted and clean runs never share entries.
+attempt becomes a structured ``[FAILED]`` row while every other
+experiment still runs and is cached.  ``--inject faults.json`` arms a
+:mod:`repro.faults` schedule: ``worker_crash`` faults kill worker
+attempts deterministically (exercising the retry path — results stay
+byte-identical because every task is a pure function of its
+arguments), and the schedule's canonical hash joins the cache key so
+faulted and clean runs never share entries.
 
-Each run ends with the ``Campaign report`` (critical path, per-worker
-utilization, suggested ``--jobs``).  A rerun over a full cache is all
-hits and starts no pool, so ``repro run-all --jobs N`` there is the
-offline report, modelled at N workers.
+Each run ends with the ``Campaign report`` (critical path — the
+longest single experiment — per-worker utilization, suggested
+``--jobs``).  A rerun over a full cache is all hits and starts no
+pool, so ``repro run-all --jobs N`` there is the offline report,
+modelled at N workers.
 
 Run: ``python -m repro.experiments.run_all [--scale S] [--seed N]
 [--jobs J | --serial] [--no-cache] [--clear-cache]
@@ -64,12 +64,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.cache import ResultCache, result_key
-from repro.experiments.dag import (
-    CampaignDag,
-    build_report,
-    emit_report_telemetry,
-    run_dag,
-)
+from repro.experiments.dag import build_report, emit_report_telemetry
 from repro.experiments.parallel import (
     ParallelReport,
     RetryPolicy,
@@ -184,7 +179,7 @@ def main(
         retry: retry policy for failed experiments (default: 3 attempts
             with backoff, jitter seeded by *seed*).
         on_error: ``"capture"`` (default) degrades a permanently failed
-            experiment into an error row and blocks its dependents;
+            experiment into an error row while the others still run;
             ``"raise"`` aborts the campaign at the first permanent
             failure; a rerun serves everything that finished from the
             cache.
@@ -228,9 +223,6 @@ def main(
         removed = cache.clear()
         print(f"[cache] cleared {removed} entries from {cache.root}")
 
-    # Dependency graph + per-task keys.  A malformed declaration (cycle,
-    # unknown predecessor) raises DagError here, before any dispatch.
-    dag = CampaignDag.from_experiments(suite_jobs)
     keys: Dict[str, str] = {
         job.job_id: result_key(
             job.job_id,
@@ -281,35 +273,26 @@ def main(
 
         pool = WorkerPool(jobs=jobs)
         try:
-            results = run_dag(
-                dag,
+            results = pool.map_tasks(
                 _run_job,
-                {
-                    job.job_id: (job.job_id, seed, scale, collect)
-                    for job in pending
-                },
-                pool=pool,
+                [(job.job_id, seed, scale, collect) for job in pending],
+                labels=[job.job_id for job in pending],
                 retry=retry,
                 chaos=chaos,
                 on_error=on_error,
                 telemetry=suite,
                 report=report,
                 on_complete=_store,
-                completed=list(sources),
             )
         finally:
             pool.shutdown()
-        for job in pending:
-            result = results[job.job_id]
+        for job, result in zip(pending, results):
             if isinstance(result, TaskError):
                 # Graceful degradation: a permanently failing experiment
-                # becomes a structured error row (its dependents blocked
-                # rows), never a cached entry.
+                # becomes a structured error row, never a cached entry.
                 outputs[job.job_id] = str(result) + "\n"
                 snapshots[job.job_id] = None
-                sources[job.job_id] = (
-                    "blocked" if result.attempts == 0 else "error"
-                )
+                sources[job.job_id] = "error"
                 continue
             text, snapshot = result
             outputs[job.job_id] = text
@@ -318,11 +301,9 @@ def main(
 
     # Deterministic presentation order, independent of completion order.
     for job in suite_jobs:
-        marker = {
-            "cache": " [cache hit]",
-            "error": " [FAILED]",
-            "blocked": " [BLOCKED]",
-        }.get(sources[job.job_id], "")
+        marker = {"cache": " [cache hit]", "error": " [FAILED]"}.get(
+            sources[job.job_id], ""
+        )
         print(f"\n## {job.title}{marker}")
         print(outputs[job.job_id], end="" if outputs[job.job_id].endswith("\n") else "\n")
 
@@ -348,20 +329,20 @@ def main(
     )
     hits = sum(1 for source in sources.values() if source == "cache")
     failures = sum(1 for source in sources.values() if source == "error")
-    blocked = sum(1 for source in sources.values() if source == "blocked")
     print(
         f"\n[total: {time.time() - started:.0f}s elapsed; "
         f"{hits}/{len(suite_jobs)} experiments from cache; "
         f"task time {report.total_task_seconds:.0f}s"
         + (f"; {failures} experiment(s) FAILED" if failures else "")
-        + (f"; {blocked} experiment(s) BLOCKED" if blocked else "")
         + "]"
     )
 
-    # Post-run report: critical path over this run's timings plus the
-    # ones cache-served tasks carry.
+    # Post-run report over this run's timings plus the ones cache-served
+    # tasks carry.
     dag_report = build_report(
-        dag, {**cached_seconds, **seconds_by_id}, jobs=jobs
+        [job.job_id for job in suite_jobs],
+        {**cached_seconds, **seconds_by_id},
+        jobs=jobs,
     )
     print()
     print(dag_report.format())
@@ -389,9 +370,9 @@ def _emit_telemetry(
     """Merge per-experiment snapshots, write JSONL, print the summary.
 
     *suite* arrives holding the campaign counters the dispatcher
-    recorded (``campaign.retries`` / ``campaign.gave_up`` /
-    ``campaign.blocked``) plus the report gauges; suite-level gauges
-    and per-experiment snapshots merge into it here.
+    recorded (``campaign.retries`` / ``campaign.gave_up``) plus the
+    report gauges; suite-level gauges and per-experiment snapshots
+    merge into it here.
     """
     suite.set_gauge("suite.jobs", jobs)
     suite.set_gauge("suite.wall_seconds", elapsed)
@@ -407,9 +388,6 @@ def _emit_telemetry(
     failed = sum(1 for source in sources.values() if source == "error")
     if failed:
         suite.inc("suite.experiments_failed", failed)
-    blocked = sum(1 for source in sources.values() if source == "blocked")
-    if blocked:
-        suite.inc("suite.experiments_blocked", blocked)
     for job in suite_jobs:
         if job.job_id in seconds_by_id:
             suite.observe("suite.experiment_seconds", seconds_by_id[job.job_id])

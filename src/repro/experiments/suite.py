@@ -138,15 +138,7 @@ def capysat(seed: int, scale: float) -> str:
     return _capture(capysat_study.main, seed=seed)
 
 
-@experiment(
-    "ablation",
-    "Section 5 ablations",
-    # Interpretation order: the ablations discuss deltas against the
-    # input-power sweep's operating points, so schedule them after it.
-    # Scheduling metadata only — results are pure functions of their
-    # arguments, so the dependency never touches cache keys.
-    after=("power-sweep",),
-)
+@experiment("ablation", "Section 5 ablations")
 def ablation(seed: int, scale: float) -> str:
     from repro.experiments import ablation as module
 
@@ -186,9 +178,6 @@ def _fleet_scenarios(seed: int, scale: float):
     uses_seed=True,
     uses_scale=True,
     scenarios=_fleet_scenarios,
-    # The fleet duty-cycle points extend the sweep's power grid; like
-    # the ablations this orders interpretation, not data flow.
-    after=("power-sweep",),
 )
 def fleet(seed: int, scale: float) -> str:
     from repro.experiments import fleet_campaign

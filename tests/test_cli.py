@@ -67,6 +67,16 @@ class TestArgValidation:
         )
         assert args.trace_out == tmp_path / "t.jsonl"
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_malformed_jobs_env_is_a_usage_error(self, value, monkeypatch, capsys):
+        """``REPRO_JOBS`` follows the ``--jobs`` rule: exit 2, before any
+        experiment runs."""
+        monkeypatch.setenv("REPRO_JOBS", value)
+        assert main(["run-all", "--scale", "0.05", "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert "REPRO_JOBS" in captured.err
+        assert captured.out == ""
+
     def test_run_all_rejects_bad_jobs_programmatically(self):
         from repro.errors import ConfigurationError
         from repro.experiments import run_all

@@ -1,20 +1,15 @@
-"""Property-based tests on the DAG campaign layer (hypothesis).
+"""Property-based tests on the dependency book (hypothesis).
 
-The invariants pinned here:
-
-* a random DAG never dispatches a task before all its predecessors,
-* the dependency book, under any success/failure outcome and settle
-  order, readies a node only after every predecessor succeeded, and
-  blocks every descendant of a failure exactly once, never ready,
-* cycle detection always fires on a cyclic declaration.
+The invariant pinned here: the book, under any success/failure outcome
+and settle order, readies a node only after every predecessor
+succeeded, and blocks every descendant of a failure exactly once,
+never ready.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DagError
-from repro.experiments.dag import CampaignDag, DependencyBook, run_dag
+from repro.experiments.dag import DependencyBook
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -38,52 +33,6 @@ def random_dags(draw):
         )
         nodes.append((f"t{i}", tuple(preds)))
     return nodes
-
-
-@st.composite
-def cyclic_declarations(draw):
-    """A chain c0 <- c1 <- ... <- c{k-1} closed back into a cycle."""
-    length = draw(st.integers(min_value=1, max_value=6))
-    nodes = []
-    for i in range(length):
-        preds = [f"c{i - 1}"] if i else [f"c{length - 1}"]
-        nodes.append((f"c{i}", tuple(preds)))
-    return nodes
-
-
-# ---------------------------------------------------------------------------
-# Dispatch order
-# ---------------------------------------------------------------------------
-
-
-class TestDispatchProperties:
-    @given(nodes=random_dags())
-    def test_never_dispatches_before_predecessors(self, nodes):
-        dag = CampaignDag(nodes)
-        log = []
-        results = run_dag(
-            dag,
-            lambda node: log.append(node) or node,
-            {node: (node,) for node in dag.nodes},
-        )
-        assert sorted(log) == sorted(dag.nodes)
-        position = {node: i for i, node in enumerate(log)}
-        for node, preds in nodes:
-            for pred in preds:
-                assert position[pred] < position[node]
-        assert all(results[node] == node for node in dag.nodes)
-
-    @given(nodes=random_dags())
-    def test_levels_partition_all_nodes(self, nodes):
-        dag = CampaignDag(nodes)
-        flattened = [node for level in dag.levels() for node in level]
-        assert flattened == dag.order()
-        assert sorted(flattened) == sorted(dag.nodes)
-
-    @given(nodes=cyclic_declarations())
-    def test_cycle_detection_always_fires(self, nodes):
-        with pytest.raises(DagError, match="cycle"):
-            CampaignDag(nodes)
 
 
 # ---------------------------------------------------------------------------

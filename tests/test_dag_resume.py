@@ -2,12 +2,8 @@
 boundary and rerun over its cache must end bit-identical to one clean
 serial run.
 
-The fixture registry forms a real diamond-plus-tail DAG::
-
-    prep --+--> abl ----> report
-           +--> fleet
-    sweep -+
-
+The fixture registry holds five independent experiments, which
+``run_all`` dispatches as one flat map in registry order.
 ``WorkerChaos(only_label=...)`` is the surgical strike: with
 ``on_error="raise"`` and a one-attempt retry budget the campaign aborts
 deterministically at the chosen node, after caching everything that
@@ -29,21 +25,13 @@ import pytest
 from repro.errors import InjectedWorkerCrash
 from repro.experiments import run_all
 from repro.experiments.cache import ResultCache, _parse_pack, result_key
-from repro.experiments.dag import CampaignDag, build_report, run_dag
-from repro.experiments.parallel import RetryPolicy, WorkerPool
+from repro.experiments.dag import build_report
+from repro.experiments.parallel import ParallelReport, RetryPolicy, WorkerPool
 from repro.experiments.registry import Experiment, ExperimentRegistry
 from repro.faults.inject import WorkerChaos
 
-#: The serial dispatch order run_dag derives from the fixture DAG.
+#: The fixture registry's order, which a serial campaign dispatches in.
 ORDER = ("prep", "sweep", "abl", "fleet", "report")
-
-EDGES = {
-    "prep": (),
-    "sweep": (),
-    "abl": ("prep",),
-    "fleet": ("prep", "sweep"),
-    "report": ("abl",),
-}
 
 
 def _fast_runner(tag):
@@ -55,7 +43,7 @@ def _fast_runner(tag):
 
 @pytest.fixture
 def dag_registry(monkeypatch):
-    """Five tiny experiments wired into the diamond-plus-tail DAG."""
+    """Five tiny independent experiments, registered in ``ORDER``."""
     registry = ExperimentRegistry()
     registry._catalogue_loaded = True  # keep the real catalogue out
     for job_id in ORDER:
@@ -66,7 +54,6 @@ def dag_registry(monkeypatch):
                 runner=_fast_runner(job_id),
                 uses_seed=True,
                 uses_scale=True,
-                after=EDGES[job_id],
             )
         )
     monkeypatch.setattr(run_all, "_REGISTRY", registry)
@@ -128,6 +115,19 @@ def _assert_same_results(root, reference):
         _assert_timing(want[key])
 
 
+def _record_dispatch(monkeypatch):
+    """The job ids ``run_all`` dispatches from now on, in order."""
+    dispatched = []
+    run_job = run_all._run_job
+
+    def record(job_id, *args):
+        dispatched.append(job_id)
+        return run_job(job_id, *args)
+
+    monkeypatch.setattr(run_all, "_run_job", record)
+    return dispatched
+
+
 def _kill(node):
     """Chaos that deterministically kills every attempt of one node."""
     return WorkerChaos(seed=7, probability=1.0, max_crashes=99, only_label=node)
@@ -136,9 +136,10 @@ def _kill(node):
 _FAST_RETRY = dict(retry=RetryPolicy(max_attempts=1, base_delay=0.0))
 
 
-def test_order_matches_fixture(dag_registry):
-    dag = CampaignDag.from_experiments(dag_registry.suite())
-    assert tuple(dag.order()) == ORDER
+def test_order_matches_fixture(dag_registry, tmp_path, monkeypatch):
+    dispatched = _record_dispatch(monkeypatch)
+    _run(tmp_path / "cache")
+    assert tuple(dispatched) == ORDER
 
 
 @pytest.mark.parametrize("kill", ORDER)
@@ -149,7 +150,7 @@ def test_kill_at_every_task_boundary_then_resume_is_bit_identical(
     chaos_root = tmp_path / "chaos"
 
     clean_out = _run(clean_root)
-    assert "[FAILED]" not in clean_out and "[BLOCKED]" not in clean_out
+    assert "[FAILED]" not in clean_out
 
     with pytest.raises(InjectedWorkerCrash):
         _run(chaos_root, chaos=_kill(kill), on_error="raise", **_FAST_RETRY)
@@ -160,7 +161,7 @@ def test_kill_at_every_task_boundary_then_resume_is_bit_identical(
 
     resumed = _run(chaos_root)
     assert resumed.count("[cache hit]") == finished_before
-    assert "[FAILED]" not in resumed and "[BLOCKED]" not in resumed
+    assert "[FAILED]" not in resumed
 
     _assert_same_results(chaos_root, clean_root)
 
@@ -212,8 +213,7 @@ def test_warm_rerun_is_the_offline_report(dag_registry, tmp_path, monkeypatch):
 
     entries = _entries(root)
     seconds = {node: entries[key][2] for node, key in _keys(dag_registry).items()}
-    dag = CampaignDag.from_experiments(dag_registry.suite())
-    assert build_report(dag, seconds, jobs=4).format() in warm
+    assert build_report(list(ORDER), seconds, jobs=4).format() in warm
 
 
 def test_double_resume_is_bit_identical(dag_registry, tmp_path):
@@ -224,7 +224,7 @@ def test_double_resume_is_bit_identical(dag_registry, tmp_path):
     with pytest.raises(InjectedWorkerCrash):
         _run(chaos_root, chaos=_kill("abl"), on_error="raise", **_FAST_RETRY)
 
-    # The first rerun runs into a *different* kill further down the DAG.
+    # The first rerun runs into a *different* kill further down the order.
     with pytest.raises(InjectedWorkerCrash):
         _run(
             chaos_root,
@@ -238,8 +238,8 @@ def test_double_resume_is_bit_identical(dag_registry, tmp_path):
     _assert_same_results(chaos_root, clean_root)
 
 
-def test_captured_failure_blocks_descendants_then_resume_completes(
-    dag_registry, tmp_path
+def test_captured_failure_runs_the_others_then_rerun_executes_only_it(
+    dag_registry, tmp_path, monkeypatch
 ):
     clean_root = tmp_path / "clean"
     chaos_root = tmp_path / "chaos"
@@ -247,13 +247,18 @@ def test_captured_failure_blocks_descendants_then_resume_completes(
 
     out = _run(chaos_root, chaos=_kill("prep"), **_FAST_RETRY)
     assert out.count("[FAILED]") == 1
-    # prep's transitive descendants — abl, fleet, report — never ran.
-    assert out.count("[BLOCKED]") == 3
-    assert "1 experiment(s) FAILED" in out and "3 experiment(s) BLOCKED" in out
+    assert "1 experiment(s) FAILED" in out
+    # Every other experiment ran and is cached; the failure is not.
+    keys = _keys(dag_registry)
+    assert set(_entries(chaos_root)) == {
+        keys[node] for node in ORDER if node != "prep"
+    }
 
+    dispatched = _record_dispatch(monkeypatch)
     resumed = _run(chaos_root)
-    assert resumed.count("[cache hit]") == 1  # only sweep finished
-    assert "[FAILED]" not in resumed and "[BLOCKED]" not in resumed
+    assert dispatched == ["prep"]
+    assert resumed.count("[cache hit]") == len(ORDER) - 1
+    assert "[FAILED]" not in resumed
     _assert_same_results(chaos_root, clean_root)
 
 
@@ -297,7 +302,7 @@ def test_resume_ignores_checkpoint_from_different_inputs(dag_registry, tmp_path)
 
 
 # ---------------------------------------------------------------------------
-# Pool-path differential: the threaded dispatcher under chaos + retry
+# Pool-path differential: the pool's dispatch loop under chaos + retry
 # must produce exactly the serial results.  CI runs this leg with
 # REPRO_DAG_TEST_JOBS=2.
 # ---------------------------------------------------------------------------
@@ -308,30 +313,22 @@ def _pool_node(tag):
 
 
 def test_pool_dispatch_under_chaos_matches_serial():
-    dag = CampaignDag(
-        [
-            ("n0", ()),
-            ("n1", ("n0",)),
-            ("n2", ("n0",)),
-            ("n3", ("n1", "n2")),
-            ("n4", ()),
-            ("n5", ("n4",)),
-        ]
-    )
-    args = {node: (node,) for node in dag.nodes}
-    serial = run_dag(dag, _pool_node, args)
+    labels = [f"n{i}" for i in range(6)]
+    tasks = [(label,) for label in labels]
+    with WorkerPool(1) as pool:
+        serial = pool.map_tasks(_pool_node, tasks, labels=labels)
 
     jobs = int(os.environ.get("REPRO_DAG_TEST_JOBS", "2"))
-    pool = WorkerPool(jobs)
-    try:
-        pooled = run_dag(
-            dag,
+    report = ParallelReport()
+    with WorkerPool(jobs) as pool:
+        pooled = pool.map_tasks(
             _pool_node,
-            args,
-            pool=pool,
+            tasks,
+            labels=labels,
             retry=RetryPolicy(max_attempts=3, base_delay=0.0),
             chaos=WorkerChaos(seed=11, probability=0.5, max_crashes=1),
+            report=report,
         )
-    finally:
-        pool.shutdown()
     assert pooled == serial
+    assert report.mode == ("process-pool" if jobs > 1 else "serial")
+    assert any(timing.attempts > 1 for timing in report.timings)

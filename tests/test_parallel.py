@@ -77,8 +77,16 @@ class TestParallelMap:
     def test_jobs_env_override(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV, "3")
         assert default_jobs() == 3
-        monkeypatch.setenv(JOBS_ENV, "not-a-number")
+        monkeypatch.setenv(JOBS_ENV, "")
         assert default_jobs() >= 1
+
+    @pytest.mark.parametrize("value", ["not-a-number", "0", "-3", "1.5"])
+    def test_jobs_env_rejects_anything_but_a_positive_int(
+        self, monkeypatch, value
+    ):
+        monkeypatch.setenv(JOBS_ENV, value)
+        with pytest.raises(ConfigurationError, match=JOBS_ENV):
+            default_jobs()
 
 
 def _metric_dict(campaign, app):
@@ -501,8 +509,8 @@ def _fail_at_root(node):
 
 
 class TestOneDispatcher:
-    """`parallel_map`, `map_tasks`, `run_task` and `run_dag` share one
-    dispatch loop: same results, same error rows, same counters."""
+    """`parallel_map`, `map_tasks` and `run_task` share one dispatch
+    loop: same results, same error rows, same counters."""
 
     def test_killed_worker_does_not_break_the_pool(self):
         from concurrent.futures.process import BrokenProcessPool
@@ -535,21 +543,28 @@ class TestOneDispatcher:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_tasks_run_counts_dispatched_tasks_only(self, jobs):
-        from repro.experiments.dag import CampaignDag, run_dag
-        from repro.experiments.parallel import TaskError, WorkerPool
+        """One count per task, not per attempt: a failing task retried
+        twice counts once, and a task never dispatched (after a
+        ``"raise"`` abort in-process) not at all."""
+        from repro.experiments.parallel import RetryPolicy, TaskError, WorkerPool
 
-        dag = CampaignDag([("a", ()), ("b", ("a",)), ("c", ("b",))])
+        tasks = [(n,) for n in "abc"]
+        retry = RetryPolicy(max_attempts=3, base_delay=0.0)
         with WorkerPool(jobs=jobs) as pool:
-            results = run_dag(
-                dag, _fail_at_root, {n: (n,) for n in dag.nodes}, pool=pool
+            results = pool.map_tasks(
+                _fail_at_root, tasks, retry=retry, on_error="capture"
             )
-            assert pool.tasks_run == 1
-        assert [results[n].attempts for n in "abc"] == [1, 0, 0]
-        assert all(isinstance(results[n], TaskError) for n in "abc")
+            assert pool.tasks_run == 3
+            if jobs == 1:
+                with pytest.raises(RuntimeError, match="root failed"):
+                    pool.map_tasks(_fail_at_root, tasks, retry=retry)
+                assert pool.tasks_run == 4
+        assert isinstance(results[0], TaskError)
+        assert results[0].attempts == 3
+        assert results[1:] == ["b", "c"]
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_four_faces_agree_under_chaos_and_capture(self, jobs):
-        from repro.experiments.dag import CampaignDag, run_dag
+    def test_three_faces_agree_under_chaos_and_capture(self, jobs):
         from repro.experiments.parallel import (
             RetryPolicy,
             TaskError,
@@ -607,21 +622,6 @@ class TestOneDispatcher:
                 counters(telemetry),
             )
             telemetry = Telemetry()
-            dag = CampaignDag([(label, ()) for label in labels])
-            by_node = run_dag(
-                dag,
-                _square_unless_three,
-                dict(zip(labels, tasks)),
-                pool=pool,
-                on_error="capture",
-                telemetry=telemetry,
-                **contract,
-            )
-            faces["run_dag"] = (
-                [by_node[label] for label in labels],
-                counters(telemetry),
-            )
-            telemetry = Telemetry()
             singles = []
             for label, args in zip(labels, tasks):
                 try:
@@ -637,7 +637,7 @@ class TestOneDispatcher:
                 except ValueError as error:
                     singles.append(TaskError(label, repr(error), 3))
             faces["run_task"] = (singles, counters(telemetry))
-            assert pool.tasks_run == 3 * len(tasks)
+            assert pool.tasks_run == 2 * len(tasks)
 
         reference = faces["parallel_map"]
         assert rows(reference[0]) == [0, 1, 4, ("t3", 3), 16, 25]
@@ -650,18 +650,15 @@ class TestOneDispatcher:
     def test_single_task_on_a_pool_runs_in_a_worker(self):
         import os
 
-        from repro.experiments.dag import CampaignDag, run_dag
         from repro.experiments.parallel import WorkerPool
 
         report = ParallelReport()
         with WorkerPool(jobs=2) as pool:
             [pid] = pool.map_tasks(os.getpid, [()], report=report)
-            dag_pid = run_dag(
-                CampaignDag([("only", ())]), os.getpid, {"only": ()}, pool=pool
-            )["only"]
+            single_pid, _ = pool.run_task(os.getpid, ())
         assert report.mode == "process-pool"
         assert pid != os.getpid()
-        assert dag_pid != os.getpid()
+        assert single_pid != os.getpid()
 
     def test_tasks_run_survives_concurrent_callers(self):
         import sys

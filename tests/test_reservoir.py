@@ -185,6 +185,25 @@ class TestReversionInteraction:
             reservoir.replenish_switches(float(t))
         assert reservoir.active_names(1000.0) == ["small", "big"]
 
+    def test_nc_bank_rejoining_after_darkness_is_equalized(self):
+        """An NC bank that reverts closed rejoins at the active set's
+        voltage, with charge conserved, and no fault injector armed."""
+        reservoir = build_reservoir(SwitchPolarity.NORMALLY_CLOSED)
+        reservoir.configure(ReservoirConfig.of("small", ["small"]), 0.0)
+        reservoir.store(1e-4, 1.0)
+        reservoir.leak_all(400.0, 1.0)
+        small, big = reservoir.bank("small"), reservoir.bank("big")
+        assert big.voltage == 0.0
+        charge = small.capacitance * small.voltage
+        # Past the latch's retention the NC switch has reverted closed.
+        assert reservoir.active_names(401.0) == ["small", "big"]
+        voltage = reservoir.active_voltage(401.0)
+        assert big.voltage == small.voltage == voltage
+        assert voltage == pytest.approx(
+            charge / (small.capacitance + big.capacitance)
+        )
+        assert reservoir.store(1e-4, 401.0) > 0.0
+
     def test_snapshot(self):
         reservoir = build_reservoir()
         snap = reservoir.snapshot()
