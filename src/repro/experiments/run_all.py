@@ -192,6 +192,11 @@ def main(
         raise ConfigurationError(f"--jobs must be an int >= 1, got {jobs!r}")
     if not (math.isfinite(scale) and scale > 0.0):
         raise ConfigurationError(f"--scale must be finite and > 0, got {scale}")
+    if on_error not in ("raise", "capture"):
+        # Checked here too: a warm-cache run dispatches nothing.
+        raise ConfigurationError(
+            f'on_error must be "raise" or "capture", got {on_error!r}'
+        )
     for flag, path in (("--metrics-out", metrics_out), ("--trace-out", trace_out)):
         if path is not None and not Path(path).parent.is_dir():
             raise ConfigurationError(

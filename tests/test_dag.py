@@ -1,6 +1,6 @@
 """Unit contract of the campaign bookkeeping: the dependency book the
 job service drives, the post-run report ``run_all`` prints, and the
-abort contract its resume relies on."""
+campaign's retry and error contract its resume relies on."""
 
 import pytest
 
@@ -66,10 +66,98 @@ def test_book_forget_drops_a_node():
         book.add("b", ("a",))
 
 
+def test_failed_task_blocks_descendants_but_not_independents():
+    book = _book(DIAMOND)
+    assert {node for node, _ in book.fail("a").blocked} == {"b", "c", "d"}
+    for blocked in ("b", "c", "d"):
+        assert book.waiting_on(blocked) == frozenset()
+        with pytest.raises(ConfigurationError, match="not ready"):
+            book.succeed(blocked)  # blocked, never run
+    # The independent node neither waits nor is blocked.
+    assert book.succeed("e").ready == ()
+    assert book.add("f", ("e",)).ready == ("f",)
+
+
 # ---------------------------------------------------------------------------
-# The abort contract (serial path; the pool path is differential-tested
-# in test_dag_resume.py)
+# The campaign's error contract (serial path; the pool path is
+# differential-tested in test_dag_resume.py)
 # ---------------------------------------------------------------------------
+
+
+def _tiny_suite(monkeypatch, job_ids):
+    """Point ``run_all`` at a registry of instant, independent experiments."""
+    from repro.experiments import run_all
+    from repro.experiments.registry import Experiment, ExperimentRegistry
+
+    registry = ExperimentRegistry()
+    registry._catalogue_loaded = True  # keep the real catalogue out
+    for job_id in job_ids:
+        registry.register(
+            Experiment(
+                job_id=job_id,
+                title=job_id.upper(),
+                runner=lambda seed, scale, tag=job_id: f"ran:{tag}\n",
+            )
+        )
+    monkeypatch.setattr(run_all, "_REGISTRY", registry)
+    monkeypatch.setattr(run_all, "get_experiment", registry.get)
+    return run_all
+
+
+def _campaign_output(run_all, tmp_path, name, **kwargs):
+    import contextlib
+    import io
+
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        run_all.main(jobs=1, cache_dir=tmp_path / name, **kwargs)
+    return buffer.getvalue()
+
+
+def _tables(output):
+    """The printed experiment sections, without timing lines."""
+    return output.split("## ", 1)[1].split("Execution summary")[0]
+
+
+def test_run_dag_chaos_retry_contract(monkeypatch, tmp_path):
+    """A chaos-killed experiment under a sufficient retry budget prints
+    the same table as a clean campaign, and telemetry counts the retry."""
+    import json
+
+    from repro.experiments.parallel import RetryPolicy
+    from repro.faults.inject import WorkerChaos
+
+    run_all = _tiny_suite(monkeypatch, ["a", "b"])
+    retry = RetryPolicy(max_attempts=3, base_delay=0.0)
+    clean = _campaign_output(run_all, tmp_path, "clean", retry=retry)
+    metrics = tmp_path / "metrics.jsonl"
+    chaotic = _campaign_output(
+        run_all,
+        tmp_path,
+        "chaos",
+        retry=retry,
+        chaos=WorkerChaos(seed=7, probability=1.0, max_crashes=1, only_label="b"),
+        metrics_out=metrics,
+    )
+    assert "ran:a" in clean and "ran:b" in clean
+    assert "[FAILED]" not in chaotic
+    assert _tables(chaotic) == _tables(clean)
+    records = {
+        record["name"]: record
+        for record in map(json.loads, metrics.read_text().splitlines())
+    }
+    assert records["campaign.retries"]["value"] == 1
+
+
+def test_run_dag_rejects_bad_on_error(monkeypatch, tmp_path):
+    """A bad mode is refused before anything runs, a warm cache included."""
+    run_all = _tiny_suite(monkeypatch, ["a"])
+    _campaign_output(run_all, tmp_path, "cache")
+    ran = []
+    monkeypatch.setattr(run_all, "_run_job", lambda *args: ran.append(args))
+    with pytest.raises(ConfigurationError, match="on_error"):
+        _campaign_output(run_all, tmp_path, "cache", on_error="explode")
+    assert ran == []
 
 
 def test_on_error_raise_aborts_after_checkpointing_finished_tasks():
