@@ -12,7 +12,6 @@ Run:  python examples/compare_power_systems.py
 from repro.apps import APPS
 from repro.core import SystemKind
 from repro.experiments import metrics
-from repro.experiments.parallel import run_campaign_parallel
 from repro.experiments.runner import format_table, percent
 from repro.spec import ScenarioBuilder
 
@@ -26,17 +25,15 @@ KINDS = [
 
 def main() -> None:
     # The same seed means the same Poisson gesture schedule; only the
-    # power system changes.  The builder closes over the app's declared
-    # scenario as JSON, so the four variants run in parallel worker
-    # processes (serial fallback on one core), with bit-identical
-    # results either way.
+    # power system changes.  The builder rebuilds the app's declared
+    # scenario under each system.
     builder = ScenarioBuilder(APPS["grc-fast"].scenario(seed=11, event_count=20))
     horizon = builder(SystemKind.CONTINUOUS).schedule.horizon + 30.0
-    campaign = run_campaign_parallel(builder, horizon, kinds=list(KINDS))
 
     rows = []
     for kind in KINDS:
-        app = campaign.instance(kind)
+        app = builder(kind)
+        app.run(horizon)
         outcomes = metrics.grc_outcomes(app)
         latencies = metrics.event_latencies(app)
         rows.append(

@@ -40,6 +40,21 @@ class ReservoirConfig:
         return ReservoirConfig(name=name, bank_names=frozenset(banks))
 
 
+def _equalize(banks: List[CapacitorBank]) -> float:
+    """Set *banks* to their shared charge-conserving voltage; the energy
+    lost to redistribution, joules."""
+    if len(banks) <= 1:
+        return 0.0
+    total_charge = sum(bank.capacitance * bank.voltage for bank in banks)
+    total_capacitance = sum(bank.capacitance for bank in banks)
+    v_common = total_charge / total_capacitance
+    before = sum(bank.energy for bank in banks)
+    for bank in banks:
+        bank.set_voltage(min(v_common, bank.spec.rated_voltage))
+    after = sum(bank.energy for bank in banks)
+    return max(0.0, before - after)
+
+
 class ReconfigurableReservoir:
     """An array of capacitor banks behind programmable switches.
 
@@ -218,9 +233,11 @@ class ReconfigurableReservoir:
             # held voltage; physical reconnection redistributes charge
             # instantly, so equalize here to keep the shared-voltage
             # invariant every consumer asserts.
+            # The entry's own banks: a lookup could rebuild the entry
+            # (and recurse) when its validity window is already over.
             voltage = banks[0].voltage
             if any(abs(bank.voltage - voltage) > 1e-9 for bank in banks[1:]):
-                self.equalize_active(time)
+                _equalize(banks)
         return entry
 
     def active_names(self, time: float) -> List[str]:
@@ -346,17 +363,7 @@ class ReconfigurableReservoir:
         capacitors at unequal voltages lose ``dE`` as heat through the
         interconnect when joined; the model conserves charge, not energy.
         """
-        banks = self._active_entry(time).banks
-        if len(banks) <= 1:
-            return 0.0
-        total_charge = sum(bank.capacitance * bank.voltage for bank in banks)
-        total_capacitance = sum(bank.capacitance for bank in banks)
-        v_common = total_charge / total_capacitance
-        before = sum(bank.energy for bank in banks)
-        for bank in banks:
-            bank.set_voltage(min(v_common, bank.spec.rated_voltage))
-        after = sum(bank.energy for bank in banks)
-        return max(0.0, before - after)
+        return _equalize(self._active_entry(time).banks)
 
     def replenish_switches(self, time: float) -> None:
         """Top up every latch (call while input power is present)."""

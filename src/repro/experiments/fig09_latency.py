@@ -63,7 +63,7 @@ def run(
     for app_name, campaign in data.campaigns.items():
         raw[app_name] = {}
         for kind in DEFAULT_KINDS:
-            instance = campaign.instance(kind)
+            instance = campaign[kind]
             if app_name == "TempAlarm":
                 if kind is SystemKind.CONTINUOUS:
                     latencies = [0.0] * len(
@@ -71,7 +71,7 @@ def run(
                     )
                 else:
                     latencies = metrics.relative_latencies(
-                        instance, campaign.reference
+                        instance, campaign[SystemKind.CONTINUOUS]
                     )
             else:
                 latencies = metrics.event_latencies(instance)

@@ -33,8 +33,6 @@ SCALE_MAX = 4.0
 def _power_scales(scale: float) -> List[float]:
     """A geometric harvest-scale ladder, densified by *scale*."""
     count = max(2, int(round(5 * scale)))
-    if count == 1:
-        return [SCALE_MIN]
     ratio = SCALE_MAX / SCALE_MIN
     return [
         round(SCALE_MIN * ratio ** (i / (count - 1)), 6) for i in range(count)

@@ -1,21 +1,20 @@
-"""Parallel experiment execution.
+"""Parallel experiment execution: the one dispatcher.
 
 Every evaluation artifact re-runs the *same* deterministic simulation
 under different power systems or parameter points, so the experiment
-layer is embarrassingly parallel: the four :class:`SystemKind` runs of
-a campaign, each point of a sweep grid, and each top-level experiment
-of ``run_all`` are independent.  This module fans that work out over a
+layer is embarrassingly parallel: each declared run of a campaign or a
+sweep grid, and each experiment of ``run_all`` that declares none, is
+independent.  :class:`WorkerPool` fans that work out over a
 ``ProcessPoolExecutor`` while preserving the methodology the paper
 depends on:
 
 * **deterministic ordering** — results always come back in submission
   order, regardless of which worker finished first;
 * **seed isolation** — workers never share RNG state: each task
-  rebuilds its app from the builder (which embeds the seed), so a
-  parallel run is bit-identical to a serial one;
-* **graceful fallback** — ``REPRO_JOBS=1``, a single-core machine, or
-  a non-picklable task quietly degrades to the serial path with the
-  same results;
+  rebuilds its app from plain arguments (which embed the seed), so a
+  pooled run is bit-identical to a serial one;
+* **graceful fallback** — ``jobs=1`` or a non-picklable task quietly
+  runs in-process with the same results;
 * **timing capture** — each task reports its wall-clock cost so
   ``run_all`` can show where the time went;
 * **resilience** — a :class:`RetryPolicy` re-runs failed tasks with
@@ -28,10 +27,10 @@ depends on:
   arguments, a crashed-and-retried batch is byte-identical to an
   undisturbed one.
 
-Workers return only the :class:`~repro.sim.trace.Trace` (plain data);
-the parent process rebuilds the cheap ``AppInstance`` shell locally and
-grafts the worker's trace onto it, so nothing hard-to-pickle (closures,
-generators, heaps of callbacks) ever crosses the process boundary.
+Tasks take and return plain data — a scenario's JSON, a
+:class:`~repro.sim.trace.Trace`, a payload dict — so nothing
+hard-to-pickle (closures, generators, heaps of callbacks) ever crosses
+the process boundary.
 """
 
 from __future__ import annotations
@@ -46,14 +45,9 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.apps.base import AppInstance
-from repro.core.builder import SystemKind
 from repro.errors import ConfigurationError
-from repro.experiments.campaign import DEFAULT_KINDS, Campaign
 from repro.faults.inject import WorkerChaos, _unit_draw
 from repro.observability.telemetry import Telemetry, resolve_telemetry
-from repro.sim.trace import Trace
-from repro.spec import ScenarioBuilder, build_scenario_app
 
 T = TypeVar("T")
 
@@ -81,6 +75,17 @@ def default_jobs() -> int:
             f"{JOBS_ENV} must be an int >= 1, got {override!r}"
         )
     return jobs
+
+
+def check_count(name: str, value: Any) -> int:
+    """*value* if it is an int >= 1 and not a bool.
+
+    Raises:
+        ConfigurationError: naming *name*, for anything else.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigurationError(f"{name} must be an int >= 1, got {value!r}")
+    return value
 
 
 def _picklable(*objects: Any) -> bool:
@@ -199,58 +204,6 @@ def _run_now(fn: Callable[..., Any], *args: Any) -> Future:
     return future
 
 
-def parallel_map(
-    fn: Callable[..., T],
-    tasks: Sequence[Tuple[Any, ...]],
-    jobs: Optional[int] = None,
-    labels: Optional[Sequence[str]] = None,
-    report: Optional[ParallelReport] = None,
-    retry: Optional[RetryPolicy] = None,
-    chaos: Optional[WorkerChaos] = None,
-    on_error: str = "raise",
-    telemetry: Optional[Telemetry] = None,
-) -> List[Any]:
-    """Apply *fn* to each argument tuple, fanning out over processes.
-
-    :meth:`WorkerPool.map_tasks` on a pool of ``min(jobs, len(tasks))``
-    workers that lives for this call only: results come back in task
-    order, and a single task, ``jobs == 1`` or a non-picklable
-    *fn*/*tasks* run in-process with the same results.
-
-    Args:
-        fn: a module-level (picklable) callable.
-        tasks: one argument tuple per invocation.
-        jobs: worker processes; ``None`` uses :func:`default_jobs`.
-        labels: optional display labels for the timing report (also the
-            retry/chaos identity of each task — keep them stable).
-        report: optional :class:`ParallelReport` to fill with timings.
-        retry: re-run failed tasks under this policy (default: one
-            attempt, no retry).
-        chaos: deterministic fault injection — each attempt first asks
-            the policy whether to crash (:mod:`repro.faults`).
-        on_error: ``"raise"`` re-raises once a task exhausts its
-            attempts; ``"capture"`` stores a :class:`TaskError` in that
-            task's result slot and keeps going.
-        telemetry: sink for ``campaign.retries`` / ``campaign.gave_up``
-            counters (``None`` resolves the ambient scope).
-
-    Raises:
-        ConfigurationError: for an unknown *on_error* mode.
-    """
-    jobs = default_jobs() if jobs is None else max(1, jobs)
-    with WorkerPool(jobs=min(jobs, len(tasks))) as pool:
-        return pool.map_tasks(
-            fn,
-            tasks,
-            labels=labels,
-            retry=retry,
-            chaos=chaos,
-            on_error=on_error,
-            telemetry=telemetry,
-            report=report,
-        )
-
-
 # ---------------------------------------------------------------------------
 # Worker pool: the one dispatcher
 # ---------------------------------------------------------------------------
@@ -258,9 +211,9 @@ def parallel_map(
 class WorkerPool:
     """A process pool that survives across jobs instead of per call.
 
-    Every way of running tasks — :func:`parallel_map`, :meth:`map_tasks`
-    (``run_all``'s suite and the planner's shards) and :meth:`run_task`
-    (the job service) — goes through this class's one dispatch loop, so
+    Every way of running tasks — :meth:`map_tasks` (``run_all``'s suite
+    and the planner's shards) and :meth:`run_task` (the job service) —
+    goes through this class's one dispatch loop, so
     attempts, chaos, backoff, ``on_error`` and the retry/give-up
     counters behave the same on every path.  Tasks run in-process iff
     ``jobs == 1`` or the function, its arguments or the chaos policy
@@ -275,7 +228,12 @@ class WorkerPool:
     """
 
     def __init__(self, jobs: Optional[int] = None) -> None:
-        self.jobs = default_jobs() if jobs is None else max(1, jobs)
+        """*jobs* worker processes; ``None`` uses :func:`default_jobs`.
+
+        Raises:
+            ConfigurationError: *jobs* is not an int >= 1 (or a bool).
+        """
+        self.jobs = default_jobs() if jobs is None else check_count("jobs", jobs)
         self._executor: Optional[ProcessPoolExecutor] = None
         self._closed = False
         self._lock = _threading.Lock()
@@ -380,11 +338,31 @@ class WorkerPool:
     ) -> List[Any]:
         """Apply *fn* to each argument tuple; results in task order.
 
-        See :func:`parallel_map` for the meaning of the other arguments.
-        *on_complete* is called in this process with ``(label, result,
-        timing)`` as each task succeeds, while later tasks may still be
-        running; under ``on_error="raise"`` it has seen every task that
-        finished before the abort.
+        Args:
+            fn: a module-level (picklable) callable.
+            tasks: one argument tuple per invocation.
+            labels: optional display labels for the timing report (also
+                the retry/chaos identity of each task — keep them
+                stable).
+            retry: re-run failed tasks under this policy (default: one
+                attempt, no retry).
+            chaos: deterministic fault injection — each attempt first
+                asks the policy whether to crash (:mod:`repro.faults`).
+            on_error: ``"raise"`` re-raises once a task exhausts its
+                attempts; ``"capture"`` stores a :class:`TaskError` in
+                that task's result slot and keeps going.
+            telemetry: sink for ``campaign.retries`` /
+                ``campaign.gave_up`` counters (``None`` resolves the
+                ambient scope).
+            report: optional :class:`ParallelReport` to fill with
+                timings.
+            on_complete: called in this process with ``(label, result,
+                timing)`` as each task succeeds, while later tasks may
+                still be running; under ``on_error="raise"`` it has seen
+                every task that finished before the abort.
+
+        Raises:
+            ConfigurationError: for an unknown *on_error* mode.
         """
         return self._dispatch(
             fn, tasks, labels, retry, chaos, on_error, telemetry, report,
@@ -497,71 +475,3 @@ class WorkerPool:
                     label=label, error=repr(error), attempts=attempt
                 )
         return results
-
-
-# ---------------------------------------------------------------------------
-# Campaign fan-out
-# ---------------------------------------------------------------------------
-
-def _run_spec_kind(scenario_json: str, kind_value: str, horizon: float) -> Trace:
-    """Worker body: only plain strings cross the process boundary; the
-    scenario rebuilds app + system worker-side."""
-    instance = build_scenario_app(scenario_json, kind=kind_value)
-    instance.run(horizon)
-    return instance.trace
-
-
-def run_campaign_parallel(
-    builder: ScenarioBuilder,
-    horizon: float,
-    kinds: Optional[List[SystemKind]] = None,
-    jobs: Optional[int] = None,
-    report: Optional[ParallelReport] = None,
-) -> Campaign:
-    """Run one app's declared scenario under each system kind, fanned out.
-
-    Each :class:`SystemKind` runs in its own worker process, which
-    receives only the canonical scenario JSON string and rebuilds the
-    app itself; the parent rebuilds the (cheap, un-run) instances
-    locally and attaches the workers' traces, so the returned
-    :class:`Campaign` is drop-in compatible with every metric helper.
-    The scenario embeds the seed/schedule, so every kind replays the
-    same ground truth and worker runs are bit-identical to in-process
-    ones.
-
-    Raises:
-        ConfigurationError: *builder* is not a
-            :class:`repro.spec.ScenarioBuilder`.
-    """
-    if not isinstance(builder, ScenarioBuilder):
-        raise ConfigurationError(
-            f"run_campaign_parallel takes a repro.spec.ScenarioBuilder, "
-            f"got {builder!r}; wrap the app's declared scenario, e.g. "
-            f"ScenarioBuilder(temp_alarm.scenario(seed=0))"
-        )
-    kinds = kinds if kinds is not None else list(DEFAULT_KINDS)
-    traces = parallel_map(
-        _run_spec_kind,
-        [(builder.scenario_json, kind.value, horizon) for kind in kinds],
-        jobs=jobs,
-        labels=[kind.value for kind in kinds],
-        report=report,
-    )
-    instances: Dict[SystemKind, AppInstance] = {}
-    app_name = ""
-    for kind, trace in zip(kinds, traces):
-        instance = builder(kind)
-        _graft_trace(instance, trace)
-        instances[kind] = instance
-        app_name = instance.name
-    return Campaign(app_name=app_name, instances=instances, horizon=horizon)
-
-
-def _graft_trace(instance: AppInstance, trace: Trace) -> None:
-    """Attach a worker-produced trace to a locally-built instance."""
-    if trace is instance.trace:
-        return  # serial fallback may already share the object
-    instance.trace = trace
-    executor = instance.executor
-    if hasattr(executor, "trace"):
-        executor.trace = trace

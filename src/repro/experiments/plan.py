@@ -672,7 +672,7 @@ def execute_plan(
             one, a pool of *jobs* workers lives for this call only.
         jobs: worker count for the per-call pool (ignored with *pool*).
         retry / chaos / on_error: the campaign resilience contract of
-            :func:`~repro.experiments.parallel.parallel_map`.
+            :meth:`~repro.experiments.parallel.WorkerPool.map_tasks`.
         telemetry: sink for the ``plan.*`` execution counters.
         collect: attach per-job telemetry snapshots to payloads.
         shard_size: devices per kernel launch.  Default: the launch
@@ -685,9 +685,16 @@ def execute_plan(
     Returns:
         A :class:`PlanResult` with per-job payloads in original job
         order — byte-identical to solo execution of each job.
-    """
-    from repro.experiments.parallel import TaskError, WorkerPool, default_jobs
 
+    Raises:
+        ConfigurationError: *jobs* or *shard_size* is given but is not
+            an int >= 1 (or is a bool).
+    """
+    from repro.experiments.parallel import TaskError, WorkerPool, check_count, default_jobs
+
+    for name, value in (("jobs", jobs), ("shard_size", shard_size)):
+        if value is not None:
+            check_count(name, value)
     telemetry = resolve_telemetry(telemetry)
     effective_jobs = (
         pool.jobs if pool is not None else (jobs if jobs is not None else default_jobs())

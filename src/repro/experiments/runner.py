@@ -75,7 +75,3 @@ def percent(value: float) -> str:
     """Format a fraction as a percentage string."""
     return f"{100.0 * value:.0f}%"
 
-
-def seconds(value: float) -> str:
-    """Format a duration in seconds."""
-    return f"{value:.1f}s"

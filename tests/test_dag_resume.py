@@ -86,7 +86,8 @@ def _keys(registry, seed=0):
 
 def _entries(root):
     """Every cache entry under *root*, read through a fresh
-    :class:`ResultCache`: ``{key: (stdout, snapshot, seconds, attempts)}``."""
+    :class:`ResultCache`: ``{key: (stdout, snapshot, seconds, attempts)}``
+    with ``seconds`` one float per task."""
     keys = set()
     for path in root.glob("packs/*.pack"):
         keys.update(_parse_pack(path.read_bytes()))
@@ -95,9 +96,11 @@ def _entries(root):
 
 
 def _assert_timing(entry):
+    """One finite float >= 0 per task (each fixture node is one task)."""
     _, _, seconds, attempts = entry
-    assert isinstance(seconds, float) and math.isfinite(seconds)
-    assert seconds >= 0.0
+    (took,) = seconds
+    assert isinstance(took, float) and math.isfinite(took)
+    assert took >= 0.0
     assert type(attempts) is int and attempts >= 1
 
 
@@ -180,7 +183,7 @@ def test_rerun_after_kill_reports_every_task_timed(dag_registry, tmp_path, kill)
     entries = _entries(root)
     keys = _keys(dag_registry)
     assert set(entries) == set(keys.values())
-    seconds = {node: entries[key][2] for node, key in keys.items()}
+    seconds = {node: entries[key][2][0] for node, key in keys.items()}
     for node in ORDER[: ORDER.index(kill)]:
         assert seconds[node] > 0.0
 
@@ -212,7 +215,9 @@ def test_warm_rerun_is_the_offline_report(dag_registry, tmp_path, monkeypatch):
     assert "utilization (jobs=4" in warm
 
     entries = _entries(root)
-    seconds = {node: entries[key][2] for node, key in _keys(dag_registry).items()}
+    seconds = {
+        node: entries[key][2][0] for node, key in _keys(dag_registry).items()
+    }
     assert build_report(list(ORDER), seconds, jobs=4).format() in warm
 
 

@@ -262,21 +262,23 @@ class TestWorkerChaos:
 
 
 class TestParallelMapResilience:
+    """The retry, chaos and ``on_error`` contract of `WorkerPool.map_tasks`."""
+
     def test_chaos_with_retry_recovers(self, fault_seed):
-        from repro.experiments.parallel import ParallelReport, RetryPolicy, parallel_map
+        from repro.experiments.parallel import ParallelReport, RetryPolicy, WorkerPool
 
         report = ParallelReport()
         telemetry = Telemetry()
-        out = parallel_map(
-            _double,
-            [(1,), (2,), (3,)],
-            jobs=1,
-            labels=["a", "b", "c"],
-            report=report,
-            retry=RetryPolicy(max_attempts=3, base_delay=0.0),
-            chaos=WorkerChaos(seed=fault_seed, probability=1.0, max_crashes=1),
-            telemetry=telemetry,
-        )
+        with WorkerPool(jobs=1) as pool:
+            out = pool.map_tasks(
+                _double,
+                [(1,), (2,), (3,)],
+                labels=["a", "b", "c"],
+                report=report,
+                retry=RetryPolicy(max_attempts=3, base_delay=0.0),
+                chaos=WorkerChaos(seed=fault_seed, probability=1.0, max_crashes=1),
+                telemetry=telemetry,
+            )
         assert out == [2, 4, 6]
         assert [timing.attempts for timing in report.timings] == [2, 2, 2]
         snapshot = telemetry.snapshot()["metrics"]
@@ -284,47 +286,47 @@ class TestParallelMapResilience:
         assert "campaign.gave_up" not in snapshot
 
     def test_capture_mode_degrades_gracefully(self):
-        from repro.experiments.parallel import RetryPolicy, TaskError, parallel_map
+        from repro.experiments.parallel import RetryPolicy, TaskError, WorkerPool
 
         telemetry = Telemetry()
-        out = parallel_map(
-            _always_fails,
-            [(1,), (2,)],
-            jobs=1,
-            labels=["p", "q"],
-            retry=RetryPolicy(max_attempts=2, base_delay=0.0),
-            on_error="capture",
-            telemetry=telemetry,
-        )
+        with WorkerPool(jobs=1) as pool:
+            out = pool.map_tasks(
+                _always_fails,
+                [(1,), (2,)],
+                labels=["p", "q"],
+                retry=RetryPolicy(max_attempts=2, base_delay=0.0),
+                on_error="capture",
+                telemetry=telemetry,
+            )
         assert all(isinstance(result, TaskError) for result in out)
         assert out[0].attempts == 2
         assert "boom" in out[0].error
         assert telemetry.snapshot()["metrics"]["campaign.gave_up"]["value"] == 2.0
 
     def test_raise_mode_propagates_after_retries(self):
-        from repro.experiments.parallel import RetryPolicy, parallel_map
+        from repro.experiments.parallel import RetryPolicy, WorkerPool
 
-        with pytest.raises(ValueError, match="boom"):
-            parallel_map(
-                _always_fails,
-                [(1,)],
-                jobs=1,
-                retry=RetryPolicy(max_attempts=2, base_delay=0.0),
-            )
+        with WorkerPool(jobs=1) as pool:
+            with pytest.raises(ValueError, match="boom"):
+                pool.map_tasks(
+                    _always_fails,
+                    [(1,)],
+                    retry=RetryPolicy(max_attempts=2, base_delay=0.0),
+                )
 
     def test_pool_mode_retries_too(self, fault_seed):
-        from repro.experiments.parallel import ParallelReport, RetryPolicy, parallel_map
+        from repro.experiments.parallel import ParallelReport, RetryPolicy, WorkerPool
 
         report = ParallelReport()
-        out = parallel_map(
-            _double,
-            [(1,), (2,), (3,)],
-            jobs=2,
-            labels=["a", "b", "c"],
-            report=report,
-            retry=RetryPolicy(max_attempts=3, base_delay=0.0),
-            chaos=WorkerChaos(seed=fault_seed, probability=1.0, max_crashes=1),
-        )
+        with WorkerPool(jobs=2) as pool:
+            out = pool.map_tasks(
+                _double,
+                [(1,), (2,), (3,)],
+                labels=["a", "b", "c"],
+                report=report,
+                retry=RetryPolicy(max_attempts=3, base_delay=0.0),
+                chaos=WorkerChaos(seed=fault_seed, probability=1.0, max_crashes=1),
+            )
         assert report.mode == "process-pool"
         assert out == [2, 4, 6]
         assert [timing.attempts for timing in report.timings] == [2, 2, 2]

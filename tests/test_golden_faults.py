@@ -69,7 +69,7 @@ class TestDifferentialChaosDeterminism:
         from repro.experiments.parallel import (
             ParallelReport,
             RetryPolicy,
-            parallel_map,
+            WorkerPool,
         )
 
         schedule = load_fault_schedule(golden_dir / "faults" / "worker_crash.json")
@@ -82,15 +82,15 @@ class TestDifferentialChaosDeterminism:
 
         serial = [_probe_trace(1), _probe_trace(2)]
         report = ParallelReport()
-        chaotic = parallel_map(
-            _probe_trace,
-            [(1,), (2,)],
-            jobs=2,
-            labels=["seed1", "seed2"],
-            report=report,
-            retry=RetryPolicy(max_attempts=3, base_delay=0.0, seed=fault_seed),
-            chaos=chaos,
-        )
+        with WorkerPool(jobs=2) as pool:
+            chaotic = pool.map_tasks(
+                _probe_trace,
+                [(1,), (2,)],
+                labels=["seed1", "seed2"],
+                report=report,
+                retry=RetryPolicy(max_attempts=3, base_delay=0.0, seed=fault_seed),
+                chaos=chaos,
+            )
         # the chaos actually bit: every task needed a second attempt
         assert [timing.attempts for timing in report.timings] == [2, 2]
         assert chaotic == serial

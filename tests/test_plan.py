@@ -420,6 +420,23 @@ class TestExecutePlan:
         assert first.results == serial.results
         assert second.results == serial.results
 
+    @pytest.mark.parametrize(
+        "knob,value",
+        [
+            ("shard_size", -1),
+            ("shard_size", 0),
+            ("shard_size", True),
+            ("jobs", 0),
+            ("jobs", -2),
+            ("jobs", True),
+        ],
+    )
+    def test_rejects_counts_that_are_not_a_positive_int(self, knob, value):
+        """A shard size or worker count below 1 (or a bool) fails closed
+        before anything runs, not with a ``None`` per job."""
+        with pytest.raises(ConfigurationError, match=f"{knob} must be an int >= 1"):
+            execute_plan(plan_campaign(_vec_jobs(2)), **{knob: value})
+
 
 def _replay_scenario_json() -> str:
     """The TempAlarm scenario under an inline hold-replay irradiance trace."""
