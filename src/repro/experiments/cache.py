@@ -41,7 +41,7 @@ import tempfile
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Environment variable overriding the cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -126,11 +126,45 @@ def result_key(
     All three are omitted from the payload when ``None`` so unaffected
     experiments keep their existing keys byte for byte.
     """
+    prefix, suffix = _key_frame(
+        experiment_id,
+        fingerprint if fingerprint is not None else code_fingerprint(),
+        spec_hash,
+        fault_hash,
+        trace_hash,
+    )
+    return hashlib.sha256(
+        (prefix + _KEY_ENCODER.encode(params) + suffix).encode()
+    ).hexdigest()
+
+
+#: The encoder ``json.dumps(..., sort_keys=True, default=str)`` builds
+#: per call, built once: keys encode *params* with it.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
+
+@lru_cache(maxsize=4096)
+def _key_frame(
+    experiment_id: str,
+    code: str,
+    spec_hash: Optional[str],
+    fault_hash: Optional[str],
+    trace_hash: Optional[str],
+) -> Tuple[str, str]:
+    """The encoded key body around its ``params`` value.
+
+    A key hashes ``json.dumps(body, sort_keys=True, default=str)`` of
+    ``{"version", "experiment", "params", "code"}`` plus whichever of
+    ``spec``/``faults``/``trace`` are set; only ``params`` varies from
+    job to job, so the text before and after it is encoded once per
+    frame.  The split is unambiguous: every other value is a string,
+    whose encoding escapes its quotes.
+    """
     body: Dict[str, Any] = {
         "version": CACHE_FORMAT_VERSION,
         "experiment": experiment_id,
-        "params": params,
-        "code": fingerprint if fingerprint is not None else code_fingerprint(),
+        "params": None,
+        "code": code,
     }
     if spec_hash is not None:
         body["spec"] = spec_hash
@@ -138,8 +172,8 @@ def result_key(
         body["faults"] = fault_hash
     if trace_hash is not None:
         body["trace"] = trace_hash
-    payload = json.dumps(body, sort_keys=True, default=str)
-    return hashlib.sha256(payload.encode()).hexdigest()
+    prefix, _, suffix = _KEY_ENCODER.encode(body).partition('"params": null')
+    return prefix + '"params": ', suffix
 
 
 def _parse_pack(raw: bytes) -> Optional[_PackIndex]:
@@ -191,8 +225,7 @@ def atomic_publish(path: Path, chunks: Sequence[bytes]) -> None:
     )
     try:
         with os.fdopen(handle, "wb") as tmp:
-            for chunk in chunks:
-                tmp.write(chunk)
+            tmp.writelines(chunks)
         os.replace(tmp_name, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -231,9 +264,10 @@ class ResultCache:
     #: Optional telemetry sink; corrupt payloads bump the
     #: ``cache.corrupt_entries`` counter on it.
     telemetry: Optional[Any] = None
-    #: Verified pack indexes by pack file name; each packed key's
-    #: ``(pack name, offset, length, digest)``; and the ``packs/`` mtime
-    #: both were read at.
+    #: Verified pack indexes by pack file name, in the order first seen;
+    #: each packed key's ``(pack name, offset, length, digest)``, from
+    #: the last pack seen that holds it; and the ``packs/`` mtime both
+    #: were read at.
     _packs: Dict[str, _PackIndex] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -252,11 +286,17 @@ class ResultCache:
         return self.root / PACK_DIR
 
     def get(self, key: str) -> Optional[Any]:
-        """The stored payload, or ``None`` on miss/corruption.
+        """The stored payload, or ``None`` on miss/corruption: a one-key
+        :meth:`get_many`."""
+        return self.get_many((key,))[0]
 
-        One path: refresh the pack index if ``packs/`` changed (a cold
-        miss on an unchanged directory costs one ``stat`` and opens
-        nothing), then read the entry and check its digest.  A
+    def get_many(self, keys: Iterable[str]) -> List[Optional[Any]]:
+        """The stored payload of each key, or ``None`` on miss/corruption.
+
+        One path: refresh the pack index once if ``packs/`` changed (a
+        batch of cold misses on an unchanged directory costs one
+        ``stat`` and opens nothing), then per key one dict probe, and
+        for a hit one read of its entry and a check of its digest.  A
         present-but-unreadable entry is treated as a miss: it is
         counted, reported via the ``cache.corrupt_entries`` telemetry
         counter, and its whole pack is removed so the re-computed
@@ -264,10 +304,15 @@ class ResultCache:
         not by whether pickle happens to raise, so corruption can never
         surface as a wrong hit.
         """
+        keys = list(keys)
         if not self.enabled:
-            self.stats.misses += 1
-            return None
+            self.stats.misses += len(keys)
+            return [None] * len(keys)
         self._refresh_packs()
+        return [self._read(key) for key in keys]
+
+    def _read(self, key: str) -> Optional[Any]:
+        """One indexed lookup of :meth:`get_many`."""
         entry = self._packed.get(key)
         if entry is None:
             self.stats.misses += 1
@@ -279,8 +324,9 @@ class ResultCache:
                 handle.seek(offset)
                 body = handle.read(length)
         except OSError:
-            # Removed since the scan; the next refresh forgets it.
+            # Removed since the scan.
             self.stats.misses += 1
+            self._forget(name)
             return None
         try:
             if hashlib.sha256(body).digest() != digest:
@@ -289,22 +335,23 @@ class ResultCache:
         except Exception:
             # A failed digest, or a body that passed it but no longer
             # unpickles (e.g. classes renamed since it was written).
-            # Unlinking the pack changes ``packs/``, so the next lookup
-            # re-reads the directory and forgets it.
             self.stats.misses += 1
             self._quarantine(path)
+            self._forget(name)
             return None
         self.stats.hits += 1
         return payload
 
     def _refresh_packs(self, force: bool = False) -> None:
-        """Re-read the pack directory if it changed since the last look
-        (always, when *force* is set).
+        """Index the packs published since the last look, if ``packs/``
+        changed (always list it, when *force* is set).
 
         Packs are immutable and named by content, so an index already
         verified is kept; only new packs are read, and each one is
         checked end to end before any of its keys can be served.  A pack
-        failing a check is quarantined.
+        failing a check is quarantined.  The key index grows by the new
+        packs' entries and is rebuilt only when a pack it holds has
+        disappeared.
         """
         try:
             mtime: Optional[int] = self._pack_root.stat().st_mtime_ns
@@ -315,31 +362,48 @@ class ResultCache:
         self._packs_mtime = mtime
         try:
             # ``os.listdir`` plus a suffix test: ``Path.glob`` costs about
-            # ten times as much per entry, and this runs once per change.
-            names = sorted(
+            # ten times as much per entry.
+            names = {
                 name for name in os.listdir(self._pack_root) if name.endswith(".pack")
-            )
+            }
         except OSError:
-            names = []
-        packs: Dict[str, _PackIndex] = {}
-        for name in names:
-            index = self._packs.get(name)
+            names = set()
+        if not names.issuperset(self._packs):
+            self._packs = {
+                name: index for name, index in self._packs.items() if name in names
+            }
+            self._reindex()
+        # New packs in name order, so readers that first see the same
+        # packs in one look index them alike.
+        for name in sorted(names.difference(self._packs)):
+            path = self._pack_root / name
+            try:
+                index = _parse_pack(path.read_bytes())
+            except OSError:
+                continue
             if index is None:
-                path = self._pack_root / name
-                try:
-                    index = _parse_pack(path.read_bytes())
-                except OSError:
-                    continue
-                if index is None:
-                    self._quarantine(path)
-                    continue
-            packs[name] = index
-        self._packs = packs
+                self._quarantine(path)
+                continue
+            self._add_pack(name, index)
+
+    def _add_pack(self, name: str, index: _PackIndex) -> None:
+        """Index pack *name* after every pack already indexed: the last
+        pack seen holding a key serves it."""
+        self._packs[name] = index
+        self._packed.update((key, (name, *entry)) for key, entry in index.items())
+
+    def _reindex(self) -> None:
+        """Rebuild the key index from ``_packs``, in first-seen order."""
         self._packed = {
             key: (name, *entry)
-            for name, index in packs.items()
+            for name, index in self._packs.items()
             for key, entry in index.items()
         }
+
+    def _forget(self, name: str) -> None:
+        """Drop pack *name*, which is gone or quarantined, from the index."""
+        if self._packs.pop(name, None) is not None:
+            self._reindex()
 
     def _quarantine(self, path: Path) -> None:
         """Count, report and remove one corrupt pack."""
@@ -379,12 +443,13 @@ class ResultCache:
         if not bodies:
             return
         keys = sorted(bodies)
+        digests = [hashlib.sha256(bodies[key]).digest() for key in keys]
         entries = []
         offset = 0
-        for key in keys:
-            body = bodies[key]
-            entries.append([key, offset, len(body), hashlib.sha256(body).hexdigest()])
-            offset += len(body)
+        for key, entry_digest in zip(keys, digests):
+            length = len(bodies[key])
+            entries.append([key, offset, length, entry_digest.hex()])
+            offset += length
         index = json.dumps(entries, separators=(",", ":")).encode()
         digest = hashlib.sha256(index).digest()
         name = f"{digest.hex()}.pack"
@@ -398,27 +463,32 @@ class ResultCache:
         )
         self.stats.stores += len(bodies)
         # Index the new pack from what was just written instead of
-        # reading it back, then rescan for the packs it supersedes.
+        # reading it back, then list ``packs/`` for the packs it
+        # supersedes.
         base = _PACK_HEADER.size + len(index)
         published = {
-            key: (base + start, length, bytes.fromhex(entry_hex))
-            for key, start, length, entry_hex in entries
+            key: (base + start, length, entry_digest)
+            for (key, start, length, _), entry_digest in zip(entries, digests)
         }
-        self._packs = {**self._packs, name: published}
+        if name not in self._packs:
+            self._add_pack(name, published)
         self._refresh_packs(force=True)
+        keys_written = published.keys()
         stale = [
             other
             for other, held in self._packs.items()
             if other != name
+            and not held.keys().isdisjoint(keys_written)
             and any(
                 held[key][2] != published[key][2]
-                for key in held.keys() & published.keys()
+                for key in held.keys() & keys_written
             )
         ]
         for other in stale:
             (self._pack_root / other).unlink(missing_ok=True)
+            del self._packs[other]
         if stale:
-            self._refresh_packs(force=True)
+            self._reindex()
 
     def clear(self) -> int:
         """Delete every pack; returns how many keys were removed.

@@ -88,16 +88,6 @@ def check_count(name: str, value: Any) -> int:
     return value
 
 
-def _picklable(*objects: Any) -> bool:
-    """Whether every object survives pickling (pool transport check)."""
-    try:
-        for obj in objects:
-            pickle.dumps(obj)
-        return True
-    except Exception:
-        return False
-
-
 @dataclass
 class TaskTiming:
     """Wall-clock cost of one parallel task, for reporting.
@@ -192,6 +182,32 @@ def _attempt_call(
         chaos.raise_if_injected(label, attempt)
     result = fn(*args)
     return result, _time.perf_counter() - started
+
+
+def _attempt_pickled(
+    call: bytes, label: str, attempt: int
+) -> Tuple[Any, float]:
+    """:func:`_attempt_call` of a ``pickle.dumps((fn, args, chaos))``.
+
+    The pool's one trampoline: the parent pickles each task once, which
+    both proves it can ship and is what ships; a retry resends the same
+    bytes.
+    """
+    fn, args, chaos = pickle.loads(call)
+    return _attempt_call(fn, args, chaos, label, attempt)
+
+
+def _pickled_calls(
+    fn: Callable[..., Any],
+    tasks: Sequence[Tuple[Any, ...]],
+    chaos: Optional[WorkerChaos],
+) -> Optional[List[bytes]]:
+    """Each task's ``(fn, args, chaos)`` pickled, or ``None`` if any of
+    them cannot be (the whole call then runs in-process)."""
+    try:
+        return [pickle.dumps((fn, args, chaos)) for args in tasks]
+    except Exception:
+        return None
 
 
 def _run_now(fn: Callable[..., Any], *args: Any) -> Future:
@@ -401,7 +417,8 @@ class WorkerPool:
             labels = [str(i) for i in range(count)]
         telemetry = resolve_telemetry(telemetry)
         max_attempts = retry.max_attempts if retry is not None else 1
-        inline = self.jobs == 1 or not _picklable(fn, list(tasks), chaos)
+        calls = None if self.jobs == 1 else _pickled_calls(fn, tasks, chaos)
+        inline = calls is None
         if report is not None:
             report.mode = "serial" if inline else "process-pool"
             report.jobs = 1 if inline else self.jobs
@@ -414,14 +431,17 @@ class WorkerPool:
 
         def submit(position: int, attempt: int) -> None:
             label = labels[position]
-            call = (_attempt_call, fn, tasks[position], chaos, label, attempt)
             executor = None
-            if inline:
-                future = _run_now(*call)
+            if calls is None:
+                future = _run_now(
+                    _attempt_call, fn, tasks[position], chaos, label, attempt
+                )
             else:
                 executor = self._ensure_executor()
                 try:
-                    future = executor.submit(*call)
+                    future = executor.submit(
+                        _attempt_pickled, calls[position], label, attempt
+                    )
                 except BrokenProcessPool as error:
                     future = Future()
                     future.set_exception(error)

@@ -56,6 +56,7 @@ __all__ = [
     "CampaignPlan",
     "PlanResult",
     "cached_payload",
+    "cached_payloads",
     "job_result_key",
     "format_fleet_summary",
     "run_fleet_batch",
@@ -221,14 +222,23 @@ def format_fleet_summary(
     batch-invariant — so this text is byte-identical however the job
     was scheduled.
     """
-    lines = [f"{name} on {system}: {horizon:.0f} s simulated (vec fleet)"]
-    lines.append(f"  {'brownouts':24s} {brownouts}")
-    lines.append(f"  {'energy_in_uJ':24s} {energy_in * 1e6:.3f}")
-    lines.append(f"  {'energy_leaked_uJ':24s} {energy_leaked * 1e6:.3f}")
-    lines.append(f"  {'energy_out_uJ':24s} {energy_out * 1e6:.3f}")
-    lines.append(f"  {'on_fraction':24s} {on_seconds / horizon:.6f}")
-    lines.append(f"  {'on_seconds':24s} {on_seconds:.3f}")
-    return "\n".join(lines) + "\n"
+    return _FLEET_SUMMARY.format(
+        name, system, horizon, brownouts, energy_in * 1e6, energy_leaked * 1e6,
+        energy_out * 1e6, on_seconds / horizon, on_seconds,
+    )
+
+
+#: :func:`format_fleet_summary`'s text: one line per value, names
+#: padded to 24 columns like the scalar runner's.
+_FLEET_SUMMARY = (
+    "{} on {}: {:.0f} s simulated (vec fleet)\n"
+    "  brownouts                {}\n"
+    "  energy_in_uJ             {:.3f}\n"
+    "  energy_leaked_uJ         {:.3f}\n"
+    "  energy_out_uJ            {:.3f}\n"
+    "  on_fraction              {:.6f}\n"
+    "  on_seconds               {:.3f}\n"
+)
 
 
 def run_fleet_batch(
@@ -575,12 +585,12 @@ def _shards(
             for at in range(0, len(group), size)
         ]
     count = min(workers, sum(map(len, groups)))
-    total = sum(job.vec_steps for group in groups for _, job in group)
+    weighted = [[(pair, pair[1].vec_steps) for pair in group] for group in groups]
+    total = sum(weight for group in weighted for _, weight in group)
     shards: Dict[Tuple[int, int], List[Tuple[int, CampaignJob]]] = {}
     done = 0
-    for g, group in enumerate(groups):
-        for pair in group:
-            weight = pair[1].vec_steps
+    for g, group in enumerate(weighted):
+        for pair, weight in group:
             run = (2 * done + weight) * count // (2 * total) if total else 0
             shards.setdefault((g, min(count - 1, run)), []).append(pair)
             done += weight
@@ -629,7 +639,15 @@ def cached_payload(cache, key: str) -> Optional[Dict[str, Any]]:
     Entries of another shape (a foreign or stale payload under the same
     key) count as misses, for campaigns and service submits alike.
     """
-    payload = cache.get(key)
+    return _job_payload(cache.get(key))
+
+
+def cached_payloads(cache, keys: Sequence[str]) -> List[Optional[Dict[str, Any]]]:
+    """:func:`cached_payload` of each of *keys*, in one cache lookup."""
+    return [_job_payload(payload) for payload in cache.get_many(keys)]
+
+
+def _job_payload(payload: Any) -> Optional[Dict[str, Any]]:
     return payload if isinstance(payload, dict) and "summary" in payload else None
 
 
@@ -710,8 +728,7 @@ def execute_plan(
     results: List[Any] = [None] * total
     cached = [False] * total
     if cache is not None:
-        for index, key in enumerate(keys):
-            payload = cached_payload(cache, key)
+        for index, payload in enumerate(cached_payloads(cache, keys)):
             if payload is not None:
                 results[index] = payload
                 cached[index] = True

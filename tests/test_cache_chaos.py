@@ -239,6 +239,49 @@ def _only_pack(cache):
     return path
 
 
+def _shadowed_pack(cache):
+    """Publish a pack of keys 1-5, then one of keys 0-5 with the same
+    payloads: the second serves every key, the first shadows keys 1-5.
+    Returns the items and the second pack's path."""
+    items = _pack_items("s")
+    cache.put_many(items[1:])
+    cache.put_many(items)
+    name = cache._packed[items[0][0]][0]
+    return items, cache.root / PACK_DIR / name
+
+
+def test_batch_after_a_quarantine_falls_back_to_a_shadowed_pack(tmp_cache):
+    """A lookup batch that quarantines a pack serves that pack's other
+    keys from any intact pack holding them, as one lookup per key does."""
+    items, path = _shadowed_pack(tmp_cache)
+    _, offset, _, _ = tmp_cache._packed[items[0][0]]
+    raw = bytearray(path.read_bytes())
+    raw[offset] ^= 0x01
+    path.write_bytes(bytes(raw))
+    keys = [key for key, _ in items]
+    assert tmp_cache.get_many(keys) == [None, *(value for _, value in items[1:])]
+    assert not path.exists()
+    assert (tmp_cache.stats.hits, tmp_cache.stats.misses) == (5, 1)
+    assert tmp_cache.stats.corrupt == 1
+
+
+def test_batch_forgets_a_pack_removed_behind_an_unchanged_mtime(tmp_cache):
+    """A pack removed after the batch's look (here, behind a directory
+    mtime that did not move) is a miss once, then forgotten: the rest of
+    the batch reads the intact pack that also holds its keys."""
+    import os
+
+    items, path = _shadowed_pack(tmp_cache)
+    assert tmp_cache.get("0" * 64) is None  # the look that indexed both
+    pack_root = tmp_cache.root / PACK_DIR
+    mtime = pack_root.stat().st_mtime_ns
+    path.unlink()
+    os.utime(pack_root, ns=(mtime, mtime))
+    keys = [key for key, _ in items]
+    assert tmp_cache.get_many(keys) == [None, *(value for _, value in items[1:])]
+    assert tmp_cache.stats.corrupt == 0
+
+
 @pytest.mark.parametrize("trial_seed", range(5))
 def test_soak_damaged_pack_quarantines_every_key(
     tmp_cache, fault_seed, trial_seed

@@ -11,10 +11,13 @@ fixed code fingerprint so that source edits do not move them.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.experiments.cache as cache_mod
 from repro.experiments.plan import CampaignJob, job_result_key
@@ -102,3 +105,66 @@ def test_explicit_result_key_is_pinned():
         "exp", {"seed": 1, "scale": 0.5, "nested": {"b": [1, 2.5], "a": None}},
         fingerprint="code", spec_hash="spec", fault_hash="faults", trace_hash="trace",
     ) == "b1b849b1a1ba0d7e2523327a18b3958b459b77a6a1abf2640cb6d66e94946e92"
+
+
+def _reference_key(experiment_id, params, code, spec, faults, trace):
+    """The key definition before keys were encoded from a frame."""
+    body = {
+        "version": cache_mod.CACHE_FORMAT_VERSION,
+        "experiment": experiment_id,
+        "params": params,
+        "code": code,
+    }
+    if spec is not None:
+        body["spec"] = spec
+    if faults is not None:
+        body["faults"] = faults
+    if trace is not None:
+        body["trace"] = trace
+    payload = json.dumps(body, sort_keys=True, default=str)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+#: Text that stresses the frame split: quotes, escapes, non-ASCII, and
+#: the literal text the frame is cut at.
+_texts = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(['"params": null', '", "params": null, "', "\\", "é☃"]),
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    _texts,
+    # Not JSON: encoded through ``default=str``.
+    st.frozensets(st.integers(0, 3), max_size=2),
+)
+_params = st.dictionaries(
+    _texts,
+    st.recursive(
+        _scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(_texts, inner, max_size=3),
+        max_leaves=8,
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    experiment_id=_texts,
+    params=_params,
+    code=_texts,
+    spec=st.none() | _texts,
+    faults=st.none() | _texts,
+    trace=st.none() | _texts,
+)
+def test_framed_key_equals_the_whole_body_hash(
+    experiment_id, params, code, spec, faults, trace
+):
+    assert cache_mod.result_key(
+        experiment_id, params, fingerprint=code, spec_hash=spec,
+        fault_hash=faults, trace_hash=trace,
+    ) == _reference_key(experiment_id, params, code, spec, faults, trace)

@@ -456,6 +456,33 @@ class TestWorkerPoolMapTasks:
                 _square, tasks
             )
 
+    def test_each_task_is_pickled_once(self, monkeypatch):
+        """The parent pickles each task once, and that is what ships:
+        retried attempts resend the same bytes."""
+        from repro.experiments.parallel import RetryPolicy, WorkerPool
+        from repro.faults.inject import WorkerChaos
+
+        calls = []
+        real_dumps = pickle.dumps
+
+        def counting(obj, *args, **kwargs):
+            calls.append(obj)
+            return real_dumps(obj, *args, **kwargs)
+
+        tasks = [(i,) for i in range(5)]
+        chaos = WorkerChaos(seed=5, probability=1.0, max_crashes=1)
+        with WorkerPool(jobs=2) as pool:
+            monkeypatch.setattr(pickle, "dumps", counting)
+            results = pool.map_tasks(
+                _square,
+                tasks,
+                retry=RetryPolicy(max_attempts=2, base_delay=0.0),
+                chaos=chaos,
+            )
+            monkeypatch.undo()
+        assert results == [i * i for i in range(5)]
+        assert len(calls) == len(tasks)
+
     def test_counts_toward_tasks_run_and_pool_survives(self):
         from repro.experiments.parallel import WorkerPool
 

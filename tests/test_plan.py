@@ -15,6 +15,8 @@ import pickle
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.temp_alarm import MODE_SENSE, scenario
 from repro.errors import ConfigurationError, InjectedWorkerCrash
@@ -26,6 +28,7 @@ from repro.experiments.plan import (
     _launch_groups,
     _shards,
     execute_plan,
+    format_fleet_summary,
     job_result_key,
     plan_campaign,
     run_fleet_batch,
@@ -627,3 +630,45 @@ class TestPackPublish:
             plan_campaign(jobs), cache=ResultCache(root=root), jobs=1
         )
         assert rerun.cached == [True] * len(jobs)
+
+
+def _line_by_line_summary(
+    name, system, horizon, on_seconds, brownouts, energy_in, energy_out,
+    energy_leaked,
+):
+    """The fleet summary as first written, one f-string per line."""
+    lines = [f"{name} on {system}: {horizon:.0f} s simulated (vec fleet)"]
+    lines.append(f"  {'brownouts':24s} {brownouts}")
+    lines.append(f"  {'energy_in_uJ':24s} {energy_in * 1e6:.3f}")
+    lines.append(f"  {'energy_leaked_uJ':24s} {energy_leaked * 1e6:.3f}")
+    lines.append(f"  {'energy_out_uJ':24s} {energy_out * 1e6:.3f}")
+    lines.append(f"  {'on_fraction':24s} {on_seconds / horizon:.6f}")
+    lines.append(f"  {'on_seconds':24s} {on_seconds:.3f}")
+    return "\n".join(lines) + "\n"
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 1e308, -1e308, 5e-324, 0.0005, 2.5e-7]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.text(max_size=10),
+    system=st.sampled_from(["Fixed", "CB-P", "{}", "{0}"]),
+    horizon=_finite.filter(lambda value: value != 0.0),
+    on_seconds=_finite,
+    brownouts=st.integers(min_value=0, max_value=10**12),
+    energy_in=_finite,
+    energy_out=_finite,
+    energy_leaked=_finite,
+)
+def test_fleet_summary_text_is_unchanged(
+    name, system, horizon, on_seconds, brownouts, energy_in, energy_out,
+    energy_leaked,
+):
+    args = (
+        name, system, horizon, on_seconds, brownouts, energy_in, energy_out,
+        energy_leaked,
+    )
+    assert format_fleet_summary(*args) == _line_by_line_summary(*args)
