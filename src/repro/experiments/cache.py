@@ -302,7 +302,9 @@ class ResultCache:
         counter, and its whole pack is removed so the re-computed
         result can replace it.  "Unreadable" is decided by checksums,
         not by whether pickle happens to raise, so corruption can never
-        surface as a wrong hit.
+        surface as a wrong hit.  A pack quarantined or found gone
+        mid-batch leaves the index at once, so the rest of the batch
+        reads the packs that are left, as one ``get`` per key would.
         """
         keys = list(keys)
         if not self.enabled:
