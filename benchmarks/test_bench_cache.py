@@ -21,8 +21,6 @@ from __future__ import annotations
 import os
 import time
 
-import pytest
-
 import repro.experiments.cache as cache_mod
 from repro.experiments.cache import ResultCache
 
@@ -89,7 +87,3 @@ def test_put_indexes_only_its_own_pack(tmp_path, monkeypatch):
     assert list(added) == [_key(PACKS)]
     assert {key: index_object[key] for key in before} == before
     assert reader.get(_key(PACKS)) == ("stdout", "new")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(pytest.main([__file__, "-q", "-s"]))
