@@ -285,36 +285,30 @@ class ResultCache:
     def _pack_root(self) -> Path:
         return self.root / PACK_DIR
 
-    def get(self, key: str) -> Optional[Any]:
-        """The stored payload, or ``None`` on miss/corruption: a one-key
-        :meth:`get_many`."""
-        return self.get_many((key,))[0]
+    def get(self, key: str, *, refresh: bool = True) -> Optional[Any]:
+        """The stored payload, or ``None`` on miss/corruption.
 
-    def get_many(self, keys: Iterable[str]) -> List[Optional[Any]]:
-        """The stored payload of each key, or ``None`` on miss/corruption.
-
-        One path: refresh the pack index once if ``packs/`` changed (a
-        batch of cold misses on an unchanged directory costs one
-        ``stat`` and opens nothing), then per key one dict probe, and
-        for a hit one read of its entry and a check of its digest.  A
-        present-but-unreadable entry is treated as a miss: it is
-        counted, reported via the ``cache.corrupt_entries`` telemetry
-        counter, and its whole pack is removed so the re-computed
-        result can replace it.  "Unreadable" is decided by checksums,
-        not by whether pickle happens to raise, so corruption can never
-        surface as a wrong hit.  A pack quarantined or found gone
-        mid-batch leaves the index at once, so the rest of the batch
-        reads the packs that are left, as one ``get`` per key would.
+        A lookup first refreshes the pack index if ``packs/`` changed
+        (one ``stat``; only packs not seen before are read), unless
+        *refresh* is false: :meth:`get_many` looks at the directory once
+        for its whole batch and then reads each key here, so every
+        lookup, alone or in a batch, is one ``get``.  Then one dict
+        probe, and for a hit one read of its entry and a check of its
+        digest.  A present-but-unreadable entry is treated as a miss: it
+        is counted, reported via the ``cache.corrupt_entries`` telemetry
+        counter, and its whole pack is removed so the re-computed result
+        can replace it.  "Unreadable" is decided by checksums, not by
+        whether pickle happens to raise, so corruption can never surface
+        as a wrong hit.  A pack quarantined or found gone leaves the
+        index at once, so the rest of a batch reads the packs that are
+        left; any other error opening or reading an entry costs only
+        that lookup.
         """
-        keys = list(keys)
         if not self.enabled:
-            self.stats.misses += len(keys)
-            return [None] * len(keys)
-        self._refresh_packs()
-        return [self._read(key) for key in keys]
-
-    def _read(self, key: str) -> Optional[Any]:
-        """One indexed lookup of :meth:`get_many`."""
+            self.stats.misses += 1
+            return None
+        if refresh:
+            self._refresh_packs()
         entry = self._packed.get(key)
         if entry is None:
             self.stats.misses += 1
@@ -325,10 +319,13 @@ class ResultCache:
             with path.open("rb") as handle:
                 handle.seek(offset)
                 body = handle.read(length)
-        except OSError:
+        except FileNotFoundError:
             # Removed since the scan.
             self.stats.misses += 1
             self._forget(name)
+            return None
+        except OSError:
+            self.stats.misses += 1
             return None
         try:
             if hashlib.sha256(body).digest() != digest:
@@ -343,6 +340,15 @@ class ResultCache:
             return None
         self.stats.hits += 1
         return payload
+
+    def get_many(self, keys: Iterable[str]) -> List[Optional[Any]]:
+        """:meth:`get` of each key after one look at ``packs/``: a batch
+        of cold misses on an unchanged directory costs one ``stat`` and
+        opens nothing."""
+        keys = list(keys)
+        if self.enabled:
+            self._refresh_packs()
+        return [self.get(key, refresh=False) for key in keys]
 
     def _refresh_packs(self, force: bool = False) -> None:
         """Index the packs published since the last look, if ``packs/``

@@ -643,7 +643,8 @@ def cached_payload(cache, key: str) -> Optional[Dict[str, Any]]:
 
 
 def cached_payloads(cache, keys: Sequence[str]) -> List[Optional[Dict[str, Any]]]:
-    """:func:`cached_payload` of each of *keys*, in one cache lookup."""
+    """:func:`cached_payload` of each of *keys*, after one look at the cache
+    directory (:meth:`~repro.experiments.cache.ResultCache.get_many`)."""
     return [_job_payload(payload) for payload in cache.get_many(keys)]
 
 

@@ -282,6 +282,33 @@ def test_batch_forgets_a_pack_removed_behind_an_unchanged_mtime(tmp_cache):
     assert tmp_cache.stats.corrupt == 0
 
 
+def test_an_unreadable_entry_costs_one_miss_and_keeps_its_pack(
+    tmp_cache, monkeypatch
+):
+    """An ``open`` that fails for a reason other than a missing file (here
+    a ``PermissionError`` on one lookup) is one miss: the pack stays
+    indexed and on disk, and its other keys still hit."""
+    items = _pack_items("p")
+    tmp_cache.put_many(items)
+    keys = [key for key, _ in items]
+    (pack,) = (tmp_cache.root / PACK_DIR).glob("*.pack")
+    real_open = Path.open
+    failures = []
+
+    def open_once(self, *args, **kwargs):
+        if self == pack and not failures:
+            failures.append(self)
+            raise PermissionError(13, "Permission denied", str(self))
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_once)
+    assert tmp_cache.get_many(keys) == [None, *(value for _, value in items[1:])]
+    assert failures == [pack] and pack.exists()
+    assert tmp_cache.get(keys[0]) == items[0][1]
+    assert (tmp_cache.stats.hits, tmp_cache.stats.misses) == (len(items), 1)
+    assert tmp_cache.stats.corrupt == 0
+
+
 @pytest.mark.parametrize("trial_seed", range(5))
 def test_soak_damaged_pack_quarantines_every_key(
     tmp_cache, fault_seed, trial_seed
