@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.energy.booster import InputBooster, OutputBooster
 from repro.errors import ConfigurationError
+from repro.vec.kernel import _check_timing
 from repro.vec.state import FleetState
 
 __all__ = ["ScalarFleet"]
@@ -91,8 +92,7 @@ class ScalarFleet:
 
     def step(self, dt: float) -> None:
         """One fixed timestep, phase for phase the kernel's contract."""
-        if dt <= 0.0:
-            raise ConfigurationError(f"dt must be positive, got {dt}")
+        _check_timing(dt)
         s = self.state
         # One vectorized exp, indexed per device: np.exp and math.exp can
         # disagree by an ULP, and the differential tests compare the two
@@ -150,12 +150,7 @@ class ScalarFleet:
     def run(self, duration: float, dt: float = 0.05) -> Dict[str, float]:
         """Step through *duration* seconds; returns the same summary
         shape as :meth:`FleetKernel.run` for benchmark symmetry."""
-        if duration < 0.0:
-            raise ConfigurationError(
-                f"duration must be non-negative, got {duration}"
-            )
-        if dt <= 0.0:
-            raise ConfigurationError(f"dt must be positive, got {dt}")
+        _check_timing(dt, duration)
         steps = int(round(duration / dt))
         started = time.perf_counter()
         for _ in range(steps):
@@ -164,6 +159,7 @@ class ScalarFleet:
         return {
             "steps": float(steps),
             "devices": float(self.state.n),
+            "device_steps": float(steps * self.state.n),
             "wall_seconds": wall,
         }
 
@@ -174,8 +170,7 @@ class ScalarFleet:
         the unchanged scalar contract — the differential baseline for
         trace-driven batches.
         """
-        if dt <= 0.0:
-            raise ConfigurationError(f"dt must be positive, got {dt}")
+        _check_timing(dt)
         segments = list(segments)
         if not segments:
             raise ConfigurationError("run_segments needs at least one segment")
@@ -200,6 +195,7 @@ class ScalarFleet:
             "steps": float(total_steps),
             "segments": float(len(segments)),
             "devices": float(self.state.n),
+            "device_steps": float(total_steps * self.state.n),
             "wall_seconds": wall,
         }
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 import time
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
@@ -99,6 +100,17 @@ _RUN_COLUMNS = (
 )
 
 
+def _check_timing(dt: float, duration: float = 0.0) -> None:
+    """Reject a *dt* that is not finite and positive, or a *duration*
+    that is not finite and non-negative, at a kernel entry point."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ConfigurationError(f"dt must be finite and positive, got {dt}")
+    if not (math.isfinite(duration) and duration >= 0.0):
+        raise ConfigurationError(
+            f"duration must be finite and non-negative, got {duration}"
+        )
+
+
 def leak_decay(leak_tau: np.ndarray, dt: float) -> np.ndarray:
     """Per-device RC decay factors, computed element by element.
 
@@ -112,9 +124,8 @@ def leak_decay(leak_tau: np.ndarray, dt: float) -> np.ndarray:
     :meth:`FleetKernel.run` via ``decay=`` when batch composition must
     not influence results (the campaign planner does).
     """
+    _check_timing(dt)
     taus = np.atleast_1d(np.asarray(leak_tau, dtype=np.float64))
-    if dt <= 0.0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
     return np.asarray(
         [np.exp(np.float64(-dt) / tau) for tau in taus], dtype=np.float64
     )
@@ -124,7 +135,11 @@ class _ChargeTerms(NamedTuple):
     """The voltage-independent terms of the input-booster charge model.
 
     They depend only on booster constants and the harvester operating
-    point, so a caller stepping many voltages computes them once.
+    point, so a caller stepping many voltages computes them once.  The
+    constant masks are folded into thresholds: a device without a
+    bypass diode has a ``-inf`` bypass threshold and a blocked harvester
+    a ``-inf`` stop voltage, so no voltage falls below the one and every
+    voltage reaches the other (a voltage is never NaN).
     """
 
     v_cold_start: np.ndarray
@@ -133,12 +148,13 @@ class _ChargeTerms(NamedTuple):
     low_efficiency: np.ndarray
     ramp_gain: np.ndarray  # 1 - low_efficiency
     warm_power: np.ndarray  # harvest_power * efficiency
-    cold_power: np.ndarray  # harvest_power * cold_start_efficiency
-    bypass: np.ndarray
-    bypass_below: np.ndarray  # harvest_voltage - v_diode_drop
-    bypass_power: np.ndarray  # harvest_power * diode efficiency
-    v_charge_target: np.ndarray
-    blocked: np.ndarray  # harvester too weak to charge at any voltage
+    # The cold path's two powers: max(hp * cold_start_efficiency, 0), and
+    # max(hp * cold_start_efficiency, hp * diode efficiency) below the
+    # bypass threshold, min(harvest_voltage - v_diode_drop, v_cold_start).
+    cold_power: np.ndarray
+    bypass_below: np.ndarray
+    bypass_power: np.ndarray
+    v_stop: np.ndarray  # v_charge_target, or -inf if the harvester is blocked
 
 
 def _charge_terms(state: FleetState) -> _ChargeTerms:
@@ -148,6 +164,9 @@ def _charge_terms(state: FleetState) -> _ChargeTerms:
         diode_efficiency = np.where(
             hv > 0.0, np.maximum(0.0, 1.0 - state.in_v_diode_drop / hv), 0.0
         )
+    cold_power = hp * state.in_cold_start_efficiency
+    # The harvester is too weak to charge at any voltage.
+    blocked = (hp <= 0.0) | (hv < state.in_min_input_voltage)
     return _ChargeTerms(
         v_cold_start=state.in_v_cold_start,
         v_full_efficiency=state.in_v_full_efficiency,
@@ -155,33 +174,68 @@ def _charge_terms(state: FleetState) -> _ChargeTerms:
         low_efficiency=state.in_low_voltage_efficiency,
         ramp_gain=1.0 - state.in_low_voltage_efficiency,
         warm_power=hp * state.in_efficiency,
-        cold_power=hp * state.in_cold_start_efficiency,
-        bypass=state.in_bypass,
-        bypass_below=hv - state.in_v_diode_drop,
-        bypass_power=hp * diode_efficiency,
-        v_charge_target=state.in_v_charge_target,
-        blocked=(hp <= 0.0) | (hv < state.in_min_input_voltage),
+        cold_power=np.maximum(cold_power, 0.0),
+        # The diode conducts on the cold path only, so its threshold is
+        # capped at v_cold_start.
+        bypass_below=np.where(
+            state.in_bypass,
+            np.minimum(hv - state.in_v_diode_drop, state.in_v_cold_start),
+            -np.inf,
+        ),
+        bypass_power=np.maximum(cold_power, hp * diode_efficiency),
+        v_stop=np.where(blocked, -np.inf, state.in_v_charge_target),
     )
 
 
-def _charge_power(voltage: np.ndarray, terms: _ChargeTerms) -> np.ndarray:
+class _Scratch(NamedTuple):
+    """Work arrays for one fleet shape, allocated once per call.
+
+    No ufunc call here writes over one of its own operands: for a
+    one-device fleet NumPy copies such an overlapping operand first,
+    which doubles the call's cost.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    mask: np.ndarray
+    flag: np.ndarray
+
+
+def _scratch(shape) -> _Scratch:
+    return _Scratch(
+        np.empty(shape), np.empty(shape),
+        np.empty(shape, dtype=bool), np.empty(shape, dtype=bool),
+    )
+
+
+def _charge_power(
+    voltage: np.ndarray, terms: _ChargeTerms, out: np.ndarray, work: _Scratch
+) -> np.ndarray:
+    """Input-booster charge power at *voltage*, written into *out*.
+
+    Each region's power is written over the last (warm, cold, bypassed,
+    stopped), so every device ends with exactly the value its region
+    selects.  Uses ``work.a`` and ``work.mask``.
+    """
     (
         v_cold_start, v_full_efficiency, ramp_span, low_efficiency,
-        ramp_gain, warm_power, cold_power, bypass, bypass_below,
-        bypass_power, v_charge_target, blocked,
+        ramp_gain, warm_power, cold_power, bypass_below, bypass_power,
+        v_stop,
     ) = terms
-    fraction = _clip((voltage - v_cold_start) / ramp_span, _ZERO, _ONE)
+    a, mask = work.a, work.mask
+    np.subtract(voltage, v_cold_start, out=a)
+    np.divide(a, ramp_span, out=out)
+    fraction = _clip(out, _ZERO, _ONE, out=a)
+    np.multiply(ramp_gain, fraction, out=out)
+    ramp = np.add(low_efficiency, out, out=a)
     # Above v_full_efficiency the scalar model returns exactly 1.0.
-    ramp = np.where(
-        voltage >= v_full_efficiency,
-        _ONE,
-        low_efficiency + ramp_gain * fraction,
-    )
-    warm = warm_power * ramp
-    bypassed = np.where(bypass & (voltage < bypass_below), bypass_power, _ZERO)
-    cold_path = np.maximum(cold_power, bypassed)
-    power = np.where(voltage >= v_cold_start, warm, cold_path)
-    return np.where(blocked | (voltage >= v_charge_target), _ZERO, power)
+    np.greater_equal(voltage, v_full_efficiency, out=mask)
+    np.putmask(ramp, mask, _ONE)
+    power = np.multiply(warm_power, ramp, out=out)
+    np.putmask(power, np.less(voltage, v_cold_start, out=mask), cold_power)
+    np.putmask(power, np.less(voltage, bypass_below, out=mask), bypass_power)
+    np.putmask(power, np.greater_equal(voltage, v_stop, out=mask), _ZERO)
+    return power
 
 
 class _DrainTerms(NamedTuple):
@@ -190,7 +244,7 @@ class _DrainTerms(NamedTuple):
     p_in: np.ndarray
     droop: np.ndarray  # 4 * esr * p_in
     two_esr: np.ndarray
-    has_esr: np.ndarray
+    no_esr: np.ndarray
 
 
 def _drain_terms(state: FleetState) -> _DrainTerms:
@@ -198,26 +252,42 @@ def _drain_terms(state: FleetState) -> _DrainTerms:
         p_in=state.p_in,
         droop=4.0 * state.esr * state.p_in,
         two_esr=2.0 * state.esr,
-        has_esr=state.esr > 0.0,
+        no_esr=~(state.esr > 0.0),
     )
 
 
 def _drain_power(
-    voltage: np.ndarray, active: np.ndarray, terms: _DrainTerms
+    voltage: np.ndarray,
+    drawing: np.ndarray,
+    terms: _DrainTerms,
+    out: np.ndarray,
+    work: _Scratch,
 ) -> np.ndarray:
-    """Droop-limited drain power; call under ``np.errstate`` ignoring
-    divide and invalid (zero-ESR devices divide by zero in the unused
-    branch)."""
-    p_in, droop, two_esr, has_esr = terms
-    discriminant = voltage * voltage - droop
-    sqrt_disc = np.sqrt(np.maximum(discriminant, _ZERO))
-    current = np.where(
-        has_esr,
-        (voltage - sqrt_disc) / two_esr,
-        p_in / np.maximum(voltage, _TINY_VOLTAGE),
-    )
-    valid = active & (discriminant >= _ZERO) & (voltage > _ZERO)
-    return np.where(valid, current * voltage, _ZERO)
+    """Droop-limited drain power at *voltage*, written into *out*.
+
+    *drawing* marks the devices whose load draws, each at a positive
+    voltage; the others get 0.  Uses all of *work*.  Call under
+    ``np.errstate`` ignoring divide and invalid (zero-ESR devices
+    divide by zero in the unused branch).
+    """
+    p_in, droop, two_esr, no_esr = terms
+    a, b, mask, idle = work
+    np.multiply(voltage, voltage, out=out)
+    discriminant = np.subtract(out, droop, out=a)
+    # The devices that deliver nothing: not drawing, or no real root.
+    np.greater_equal(discriminant, _ZERO, out=idle)
+    np.logical_and(idle, drawing, out=mask)
+    np.logical_not(mask, out=idle)
+    np.maximum(discriminant, _ZERO, out=out)
+    np.sqrt(out, out=a)
+    np.subtract(voltage, a, out=out)
+    current = np.divide(out, two_esr, out=a)
+    # Without ESR the current is p_in / v.
+    np.maximum(voltage, _TINY_VOLTAGE, out=out)
+    np.putmask(current, no_esr, np.divide(p_in, out, out=b))
+    power = np.multiply(current, voltage, out=out)
+    np.putmask(power, idle, _ZERO)
+    return power
 
 
 def drain_power_vec(
@@ -230,10 +300,18 @@ def drain_power_vec(
     ``I * V``.  Only meaningful above the discharge floor; *active*
     masks devices for which the drain applies (others get 0).
     """
-    if active is None:
-        active = np.ones_like(voltage, dtype=bool)
+    voltage = np.asarray(voltage, dtype=np.float64)
+    drawing = voltage > 0.0
+    if active is not None:
+        drawing &= active
     with np.errstate(invalid="ignore", divide="ignore"):
-        return _drain_power(voltage, active, _drain_terms(state))
+        return _drain_power(
+            voltage,
+            drawing,
+            _drain_terms(state),
+            np.empty_like(voltage),
+            _scratch(voltage.shape),
+        )
 
 
 class FleetKernel:
@@ -248,6 +326,15 @@ class FleetKernel:
     ``(hp * eff)`` once, then ``* ramp`` per step), so every step
     evaluates the same IEEE operations in the same order and the
     results do not depend on how a run is split into calls.
+
+    The loop allocates nothing: each operation writes into work arrays
+    made once per call, and each ``np.where`` is a masked write
+    (``np.putmask``), which copies the value the ``where`` would have
+    selected.  Constant masks are folded into thresholds once per call
+    (no bypass diode: a ``-inf`` bypass threshold; a blocked harvester:
+    a ``-inf`` stop voltage; no load: a ``+inf`` wake voltage), which is
+    exact because a voltage is never NaN.  Every fleet runs this one
+    step body.
 
     Args:
         state: the fleet to advance (mutated in place).
@@ -267,72 +354,101 @@ class FleetKernel:
     def step(self, dt: float) -> None:
         """Advance every device by *dt* seconds (see module docstring
         for the discretization order)."""
-        if dt <= 0.0:
-            raise ConfigurationError(f"dt must be positive, got {dt}")
+        _check_timing(dt)
         self._advance(self.state, 1, dt, np.exp(-dt / self.state.leak_tau))
 
     def _advance(
         self, s: FleetState, steps: int, dt: float, decay: np.ndarray
     ) -> None:
-        """Run *steps* five-phase steps of *s* at its operating point."""
+        """Run *steps* five-phase steps of *s* at its operating point.
+
+        Every per-step operation writes into a work array made here, so
+        the loop allocates nothing, and none but the accounting sums
+        writes over its own operand (see :class:`_Scratch`).
+        ``voltage`` and ``on`` are fresh arrays put back into *s* at the
+        end; the accounting columns are updated in place.
+        """
         charge_terms = _charge_terms(s)
         drain_terms = _drain_terms(s)
         floor = s.floor + _FLOOR_EPS
         quiescent = s.quiescent_power
         half_c = 0.5 * s.capacitance
         full_energy = half_c * s.charge_target * s.charge_target
-        wake_voltage = s.charge_target - _TARGET_EPS
-        has_load = s.load_power > 0.0
+        # A device without a load never wakes: no finite voltage reaches
+        # +inf.
+        wake_voltage = np.where(
+            s.load_power > 0.0, s.charge_target - _TARGET_EPS, np.inf
+        )
         brownouts = s.brownouts
         energy_in = s.energy_in
         energy_out = s.energy_out
         energy_leaked = s.energy_leaked
         on_seconds = s.on_seconds
-        v = s.voltage
-        on = s.on
+        # The step-start voltage, and the post-update one before leakage.
+        v = s.voltage.copy()
+        v_post = np.empty_like(v)
+        on = s.on.copy()
         # Stored energy at the step-start voltage; each step's leakage
         # phase recomputes it for the next step from the same bits.
         energy = half_c * v * v
+        charge = np.empty_like(v)
+        drain = np.empty_like(v)
+        net_in = np.empty_like(v)
+        work = _scratch(v.shape)
+        a, b, mask, flag = work
         now = self.now
         step_dt = _operand(dt)
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(steps):
                 # 1. Brown out devices that can no longer hold their load.
-                browned = on & (v <= floor)
+                #    Every device left on is above its floor, which is
+                #    positive, so ``on`` is the drain's drawing mask.
+                np.less_equal(v, floor, out=flag)
+                browned = np.logical_and(flag, on, out=mask)
                 if np.count_nonzero(browned):
-                    on = on & ~browned
+                    np.putmask(on, browned, False)
                     brownouts += browned
 
                 # 2. Operating-point powers at the step-start voltage.
-                charge = _charge_power(v, charge_terms)
-                net_in = np.where(charge > _ZERO, charge - quiescent, _ZERO)
-                drain = _drain_power(v, on, drain_terms)
+                _charge_power(v, charge_terms, charge, work)
+                np.subtract(charge, quiescent, out=net_in)
+                np.logical_not(np.greater(charge, _ZERO, out=flag), out=mask)
+                np.putmask(net_in, mask, _ZERO)
+                _drain_power(v, on, drain_terms, drain, work)
 
                 # 3. Energy update, clipped to [0, energy at charge
                 #    target] (an over-target initial voltage is
                 #    preserved, not clipped).
-                target_energy = np.maximum(full_energy, energy)
-                new_energy = _clip(
-                    energy + (net_in - drain) * step_dt, _ZERO, target_energy
-                )
-                v = np.sqrt(new_energy / half_c)
+                np.subtract(net_in, drain, out=a)
+                np.multiply(a, step_dt, out=b)
+                np.add(energy, b, out=a)
+                target_energy = np.maximum(full_energy, energy, out=b)
+                new_energy = _clip(a, _ZERO, target_energy, out=energy)
+                np.divide(new_energy, half_c, out=a)
+                np.sqrt(a, out=v_post)
 
                 # 4. Wake devices whose post-update voltage reached the
-                #    target (``on | (~on & x)`` is ``on | x``).
-                on = on | (has_load & (v >= wake_voltage))
+                #    target (``on | (~on & x)`` is ``on | x``: a masked
+                #    write of True).
+                np.greater_equal(v_post, wake_voltage, out=mask)
+                np.putmask(on, mask, True)
 
                 # 5. RC leakage on the post-update voltage.
-                leaked_from = half_c * v * v
-                v = v * decay
-                energy = half_c * v * v
-                energy_leaked += leaked_from - energy
+                np.multiply(half_c, v_post, out=a)
+                leaked_from = np.multiply(a, v_post, out=b)
+                np.multiply(v_post, decay, out=v)
+                np.multiply(half_c, v, out=a)
+                np.multiply(a, v, out=energy)
+                energy_leaked += np.subtract(leaked_from, energy, out=a)
 
                 # Accounting: gross flows at the step operating points
                 # (clipping at target/empty and leakage close the
                 # balance separately).
-                energy_in += charge * step_dt
-                energy_out += drain * step_dt
-                on_seconds += np.where(drain > _ZERO, step_dt, _ZERO)
+                energy_in += np.multiply(charge, step_dt, out=a)
+                energy_out += np.multiply(drain, step_dt, out=a)
+                # ``dt`` where the load drew, else 0.0: 1.0 * dt or 0.0 * dt.
+                np.copyto(a, np.greater(drain, _ZERO, out=mask))
+                on_seconds += np.multiply(a, step_dt, out=b)
                 now += dt
         s.voltage = v
         s.on = on
@@ -347,27 +463,18 @@ class FleetKernel:
     ) -> Dict[str, float]:
         """Step the fleet through *duration* seconds at resolution *dt*.
 
-        Returns a summary dict (steps, devices, wall seconds) and, when
-        telemetry is enabled, records the ``vec.*`` counters.  *decay*
+        Returns a summary dict (steps, devices, device-steps — their
+        product — and wall seconds) and, when telemetry is enabled,
+        records the ``vec.*`` counters.  *dt* must be finite and
+        positive, *duration* finite and non-negative.  *decay*
         optionally overrides the per-step RC leakage factors; pass
         :func:`leak_decay` when results must not depend on batch
         composition (see that helper's docstring).
         """
-        if duration < 0.0:
-            raise ConfigurationError(
-                f"duration must be non-negative, got {duration}"
-            )
-        if dt <= 0.0:
-            raise ConfigurationError(f"dt must be positive, got {dt}")
+        _check_timing(dt, duration)
         steps = int(round(duration / dt))
         started = time.perf_counter()
-        if decay is None:
-            decay = np.exp(-dt / self.state.leak_tau)
-        elif np.shape(decay) != self.state.voltage.shape:
-            raise ConfigurationError(
-                f"decay: expected shape {self.state.voltage.shape}, "
-                f"got {np.shape(decay)}"
-            )
+        decay = _checked_decay(decay, dt, self.state)
         self._advance(self.state, steps, dt, decay)
         wall = time.perf_counter() - started
         if self.telemetry.enabled:
@@ -377,6 +484,7 @@ class FleetKernel:
         return {
             "steps": float(steps),
             "devices": float(self.state.n),
+            "device_steps": float(steps * self.state.n),
             "wall_seconds": wall,
         }
 
@@ -415,22 +523,17 @@ class FleetKernel:
         and the launch steps exactly as without *end_steps*.
 
         Returns the same summary dict as :meth:`run` plus the segment
-        count; ``steps`` counts the launch's steps, not device-steps.
-        Telemetry additionally records ``vec.segments``.
+        count; ``steps`` counts the launch's steps, and ``device_steps``
+        the steps the devices took, each to its own end step.  Telemetry
+        additionally records ``vec.segments``.
         """
-        if dt <= 0.0:
-            raise ConfigurationError(f"dt must be positive, got {dt}")
+        _check_timing(dt)
         state = self.state
         shape = state.voltage.shape
         segments = [_checked_segment(segment, shape) for segment in segments]
         if not segments:
             raise ConfigurationError("run_segments needs at least one segment")
-        if decay is None:
-            decay = np.exp(-dt / state.leak_tau)
-        elif np.shape(decay) != shape:
-            raise ConfigurationError(
-                f"decay: expected shape {shape}, got {np.shape(decay)}"
-            )
+        decay = _checked_decay(decay, dt, state)
         total = sum(steps for steps, _, _ in segments)
         if end_steps is None:
             ends = np.full(shape, total, dtype=np.int64)
@@ -487,8 +590,26 @@ class FleetKernel:
             "steps": float(total),
             "segments": float(len(segments)),
             "devices": float(state.n),
+            "device_steps": float(ends.sum()),
             "wall_seconds": wall,
         }
+
+
+def _checked_decay(
+    decay: Optional[np.ndarray], dt: float, state: FleetState
+) -> np.ndarray:
+    """Per-step RC leakage factors: *decay* checked against the fleet,
+    or ``exp(-dt / leak_tau)`` when it is None."""
+    if decay is None:
+        return np.exp(-dt / state.leak_tau)
+    decay = np.asarray(decay, dtype=np.float64)
+    if decay.shape != state.voltage.shape:
+        raise ConfigurationError(
+            f"decay: expected shape {state.voltage.shape}, got {decay.shape}"
+        )
+    if not np.isfinite(decay).all():
+        raise ConfigurationError("decay factors must be finite")
+    return decay
 
 
 def _checked_segment(segment, shape) -> Tuple[int, np.ndarray, np.ndarray]:
@@ -547,15 +668,19 @@ def charge_times(
         raise ConfigurationError(
             f"target: expected shape {s.voltage.shape}, got {goal.shape}"
         )
+    if not np.isfinite(goal).all():
+        raise ConfigurationError("target voltages must be finite")
     step = goal / float(steps)
     half_c = 0.5 * s.capacitance
     elapsed = np.zeros(s.n)
     voltage = np.zeros(s.n)
     terms = _charge_terms(s)
+    power = np.empty(s.n)
+    work = _scratch(s.n)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(steps):
             v_next = np.minimum(goal, voltage + step)
-            power = _charge_power(voltage, terms)
+            _charge_power(voltage, terms, power, work)
             energy = half_c * (v_next * v_next - voltage * voltage)
             elapsed = elapsed + np.where(power > 0.0, energy / power, np.inf)
             voltage = v_next

@@ -13,6 +13,9 @@ way a run is split into calls never shows in the results:
 * the final columns of a fixed run, and of a segmented run, hash to
   pinned sha256s.
 
+The entry points' checks (finite timing and decay), the summaries'
+``device_steps`` and a warning-free step loop are pinned here too.
+
 Columns are compared by their ``tobytes()``, not with ``==``: equality
 treats ``-0.0`` and ``0.0`` as the same value and would hide a change in
 the sign of a zero.
@@ -26,6 +29,7 @@ and devices that brown out and wake again.
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -36,9 +40,12 @@ from repro.spec import dump_scenario, load_scenario
 from repro.vec import (
     FleetKernel,
     FleetState,
+    ScalarFleet,
     build_fleet,
+    charge_times,
     compile_operating_segments,
     leak_decay,
+    times_to_brownout,
 )
 
 DT = 0.01
@@ -245,6 +252,101 @@ def test_end_steps_are_checked():
     for ends in ([STEPS + 1] * fleet.n, [-1] * fleet.n, [STEPS] * (fleet.n - 1)):
         with pytest.raises(ConfigurationError, match="end_steps"):
             FleetKernel(fleet).run_segments(_segments(fleet.n), DT, end_steps=ends)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _run_segments(kernel: FleetKernel, dt: float, **kwargs):
+    return kernel.run_segments(_segments(kernel.state.n), dt, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "entry, match",
+    [
+        pytest.param(lambda k: k.step(NAN), "dt", id="step-dt-nan"),
+        pytest.param(lambda k: k.step(INF), "dt", id="step-dt-inf"),
+        pytest.param(lambda k: k.step(0.0), "dt", id="step-dt-zero"),
+        pytest.param(lambda k: k.run(1.0, dt=NAN), "dt", id="run-dt-nan"),
+        pytest.param(lambda k: k.run(1.0, dt=INF), "dt", id="run-dt-inf"),
+        pytest.param(lambda k: k.run(1.0, dt=-DT), "dt", id="run-dt-negative"),
+        pytest.param(lambda k: k.run(NAN), "duration", id="run-duration-nan"),
+        pytest.param(lambda k: k.run(INF), "duration", id="run-duration-inf"),
+        pytest.param(lambda k: k.run(-1.0), "duration", id="run-duration-negative"),
+        pytest.param(
+            lambda k: k.run(1.0, dt=DT, decay=[NAN] * k.state.n),
+            "decay",
+            id="run-decay-nan",
+        ),
+        pytest.param(lambda k: _run_segments(k, NAN), "dt", id="segments-dt-nan"),
+        pytest.param(lambda k: _run_segments(k, INF), "dt", id="segments-dt-inf"),
+        pytest.param(lambda k: _run_segments(k, 0.0), "dt", id="segments-dt-zero"),
+        pytest.param(
+            lambda k: _run_segments(k, DT, decay=[INF] * k.state.n),
+            "decay",
+            id="segments-decay-inf",
+        ),
+        pytest.param(
+            lambda k: leak_decay(k.state.leak_tau, NAN), "dt", id="leak-decay-dt-nan"
+        ),
+        pytest.param(
+            lambda k: leak_decay(k.state.leak_tau, INF), "dt", id="leak-decay-dt-inf"
+        ),
+    ],
+)
+def test_non_finite_timing_is_rejected(entry, match):
+    fleet = _fleet()
+    with pytest.raises(ConfigurationError, match=match):
+        entry(FleetKernel(fleet))
+    assert _bytes(fleet) == _bytes(_fleet())
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(lambda f: f.step(NAN), id="step-dt-nan"),
+        pytest.param(lambda f: f.run(INF), id="run-duration-inf"),
+        pytest.param(
+            lambda f: f.run_segments(_segments(f.state.n), NAN), id="segments-dt-nan"
+        ),
+    ],
+)
+def test_scalar_reference_rejects_non_finite_timing(entry):
+    fleet = _fleet()
+    with pytest.raises(ConfigurationError):
+        entry(ScalarFleet(fleet))
+    assert _bytes(fleet) == _bytes(_fleet())
+
+
+def test_summaries_count_device_steps():
+    fleet = _fleet()
+    summary = FleetKernel(fleet).run_segments(
+        _segments(fleet.n), DT, end_steps=RAGGED_ENDS
+    )
+    assert summary["steps"] == STEPS
+    assert summary["device_steps"] == sum(RAGGED_ENDS) == 2620
+    summary = FleetKernel(_fleet()).run(STEPS * DT, dt=DT)
+    assert summary["device_steps"] == STEPS * fleet.n
+    summary = ScalarFleet(_fleet()).run(10 * DT, dt=DT)
+    assert summary["device_steps"] == 10 * fleet.n
+
+
+def test_step_loop_raises_no_warning():
+    """A deprecated NumPy call form costs several times the call it
+    stands for, and warns; the loop and the helpers that share its
+    power models must not."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        FleetKernel(_fleet()).run(STEPS * DT, dt=DT)
+        fleet = _fleet()
+        FleetKernel(fleet).run_segments(
+            _segments(fleet.n),
+            DT,
+            decay=leak_decay(fleet.leak_tau, DT),
+            end_steps=RAGGED_ENDS,
+        )
+        charge_times(_fleet())
+        times_to_brownout(_fleet())
 
 
 def _replayed(seed: int, samples):
